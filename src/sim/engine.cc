@@ -39,8 +39,6 @@ Engine::Engine(const topology::Topology& topo, SimConfig config)
   // Full-duplex links, one capacity slot per cable and direction; on
   // untrunked fabrics each link simply has one cable per direction.
   topo.FillCableCapacities(capacity_);
-  offered_load_.resize(topo.directed_cable_slots(), 0.0);
-  link_touched_.resize(topo.directed_cable_slots(), 0);
 }
 
 core::Request Engine::MakeRequest(const workload::JobSpec& spec) const {
@@ -237,47 +235,44 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
   // verdicts, and the max-min rates of the previous tick all still hold.
   const bool steady = !flows_dirty_ && !desires_changed;
 
+  if (steady) {
+    SVC_METRIC_INC("engine/steady_ticks");
+  } else {
+    SVC_METRIC_INC("engine/solve_ticks");
+    scratch_.Allocate(flows_, capacity_, flows_dirty_);
+  }
+
   if (config_.measure_outage) {
     if (steady) {
       busy_link_seconds_ += cached_busy_links_;
       outage_link_seconds_ += cached_outage_links_;
     } else {
       // A bandwidth outage (paper constraint (1)) is a loaded link whose
-      // offered demand exceeds its capacity this second.
+      // offered demand exceeds its capacity this second.  The solve just
+      // summed every link's offered load.
       const bool metrics = obs::MetricsEnabled();
       const bool want_util = metrics || config_.series != nullptr;
-      for (const SimFlow& flow : flows_) {
-        for (topology::VertexId link : flow.links) {
-          if (!link_touched_[link]) {
-            link_touched_[link] = 1;
-            loaded_links_.push_back(link);
-          }
-          offered_load_[link] += flow.desired;
-        }
-      }
       cached_busy_links_ = 0;
       cached_outage_links_ = 0;
       cached_util_sum_ = 0;
       cached_util_max_ = 0;
-      for (topology::VertexId link : loaded_links_) {
+      for (topology::VertexId link : scratch_.active_links()) {
+        const double offered = scratch_.offered_load(link);
         ++cached_busy_links_;
-        if (offered_load_[link] > capacity_[link] * (1 + 1e-9)) {
+        if (offered > capacity_[link] * (1 + 1e-9)) {
           ++cached_outage_links_;
         }
         // Offered utilization of the loaded link this second (may exceed 1
         // when the link is in outage; max-min then throttles the flows).
         if (want_util && capacity_[link] > 0) {
-          const double util = offered_load_[link] / capacity_[link];
+          const double util = offered / capacity_[link];
           cached_util_sum_ += util;
           cached_util_max_ = std::max(cached_util_max_, util);
           if (metrics) {
             SVC_METRIC_HIST("engine/link_utilization", util);
           }
         }
-        offered_load_[link] = 0.0;
-        link_touched_[link] = 0;
       }
-      loaded_links_.clear();
       busy_link_seconds_ += cached_busy_links_;
       outage_link_seconds_ += cached_outage_links_;
     }
@@ -291,12 +286,6 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
     }
   }
 
-  if (steady) {
-    SVC_METRIC_INC("engine/steady_ticks");
-  } else {
-    SVC_METRIC_INC("engine/solve_ticks");
-    scratch_.Allocate(flows_, capacity_, flows_dirty_);
-  }
   SVC_METRIC_GAUGE_SET("engine/flows", static_cast<double>(flows_.size()));
   if (config_.series != nullptr && now >= next_sample_time_) {
     next_sample_time_ = now + config_.series_period;

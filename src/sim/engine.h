@@ -226,10 +226,7 @@ class Engine {
 
   std::vector<int> placement_levels_;  // locality of accepted placements
 
-  // Outage accounting scratch + totals (see SimConfig.measure_outage).
-  std::vector<double> offered_load_;
-  std::vector<char> link_touched_;
-  std::vector<topology::VertexId> loaded_links_;
+  // Outage accounting totals (see SimConfig.measure_outage).
   int64_t outage_link_seconds_ = 0;
   int64_t busy_link_seconds_ = 0;
 

@@ -18,16 +18,19 @@
 // terminates in O(#links + #batches) rounds.  Flows with an empty path
 // (both endpoints on one machine) bypass the network entirely.
 //
-// Incremental reuse: between simulator ticks the flow *set* usually does
-// not change (no admissions or completions), and under deterministic rate
-// enforcement the desires often repeat bit-for-bit.  The scratch therefore
-// caches the per-link flow lists (rebuilt only when the caller signals a
-// set change) and the desire-sorted order (re-sorted only when a desire
-// actually changed).  Both caches are pure memoization: the produced rates
-// are bit-identical to a from-scratch solve — tests/maxmin_incremental_test
-// cross-checks this under randomized churn.
+// Every call starts with one pass over the flow links that sums each
+// link's offered load (the positive desires crossing it), counts its
+// unfrozen flows and lists the active links.  When every active link
+// carries at most capacity * (1 - kUncongestedSlack) the rates are the
+// desires and the call returns there (the uncongested fast path; it is
+// exact, see docs/PERFORMANCE.md §2).  Otherwise the full filling runs on
+// a radix-sorted desire order, and the per-link flow lists rule 2 needs
+// are built only once it fires — then reused while the caller reports the
+// flow set unchanged.  The rates are bit-identical to plain progressive
+// filling: tests/maxmin_reference_test holds a verbatim reference.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "topology/topology.h"
@@ -47,6 +50,11 @@ struct SimFlow {
 // Reusable scratch buffers so the per-second call does not allocate.
 class MaxMinScratch {
  public:
+  // Relative headroom under which a link counts as uncongested.  It must
+  // dwarf the rounding of the k additions and k subtractions a link
+  // carrying k flows sees (2k * 2^-53) for the fast path to stay exact.
+  static constexpr double kUncongestedSlack = 1e-9;
+
   explicit MaxMinScratch(int num_vertices);
 
   // Computes flow.rate for every flow.  `capacity[v]` is the capacity of
@@ -55,29 +63,54 @@ class MaxMinScratch {
   // `flows_changed` is the caller's signal that the flow set may differ
   // from the previous call (membership, order, or any `links` vector).
   // Pass false ONLY when the flows vector is element-for-element the same
-  // as last time (desires may differ): the scratch then reuses its cached
-  // per-link flow lists, and skips the desire sort too when every desire
-  // is bit-identical.  Passing true is always safe.
+  // as last time (desires may differ): the scratch then reuses its
+  // per-link flow lists.  Passing true is always safe.
   void Allocate(std::vector<SimFlow>& flows,
                 const std::vector<double>& capacity,
                 bool flows_changed = true);
 
+  // Links crossed by any networked flow in the last Allocate — zero-desire
+  // flows included — in order of first appearance over the flows.
+  const std::vector<topology::VertexId>& active_links() const {
+    return active_links_;
+  }
+  // Sum of the positive desires crossing `link` in the last Allocate
+  // (flow order); meaningful for the links in active_links().
+  double offered_load(topology::VertexId link) const {
+    return offered_[link];
+  }
+
  private:
-  // Rebuilds flows_on_ / active_links_ / order-membership from `flows`.
-  void RebuildTopologyCaches(const std::vector<SimFlow>& flows);
+  // A networked flow's desire bit pattern (positive doubles order like
+  // their bits) and its index.
+  struct DesireKey {
+    uint64_t bits;
+    int32_t flow;
+  };
 
-  std::vector<double> remaining_;           // per link
-  std::vector<int> count_;                  // unfrozen flows per link
-  std::vector<std::vector<int>> flows_on_;  // per link: flows crossing it
+  // Stable LSD radix sort of order_ by desire.
+  void SortByDesire();
+  // Builds the per-link flow lists (CSR over the active links).
+  void BuildLinkFlows(const std::vector<SimFlow>& flows);
+
+  // Per link (indexed like `capacity`).
+  std::vector<double> offered_;
+  std::vector<double> remaining_;
+  std::vector<int> count_;         // unfrozen flows crossing the link
+  std::vector<uint32_t> seen_;     // epoch_ of the last call that saw it
+  std::vector<int> flows_begin_;   // link_flows_ range [begin, end)
+  std::vector<int> flows_end_;
+  uint32_t epoch_ = 0;
+
   std::vector<topology::VertexId> active_links_;
-  std::vector<int> order_;  // networked flow indices sorted by desired
-  std::vector<char> frozen_;
+  std::vector<topology::VertexId> live_links_;  // active, count_ > 0
+  std::vector<int> link_flows_;                 // flow indices, by link
+  bool have_link_flows_ = false;
 
-  // Incremental-reuse state.
-  std::vector<char> networked_;      // flow has a non-empty path
-  std::vector<double> last_desired_; // desires seen by the last call
-  bool have_topology_cache_ = false;
-  bool have_order_cache_ = false;
+  // Per flow.
+  std::vector<char> frozen_;
+  std::vector<DesireKey> order_;  // unfrozen flows ascending by desire
+  std::vector<DesireKey> sort_buffer_;
 };
 
 }  // namespace svc::sim

@@ -1,8 +1,8 @@
-// The max-min scratch's incremental caches (per-link flow lists reused
-// when the flow set is unchanged, desire sort reused when desires repeat)
-// are pure memoization: every allocation must be bit-identical to a
-// from-scratch solve.  These tests drive a persistent scratch through
-// randomized churn and the degenerate shapes the caches must survive.
+// The max-min scratch's one cache (per-link flow lists, reused while the
+// caller reports the flow set unchanged) is pure memoization: every
+// allocation must be bit-identical to a from-scratch solve.  These tests
+// drive a persistent scratch through randomized churn and the degenerate
+// shapes the cache must survive.
 #include "sim/max_min.h"
 
 #include <gtest/gtest.h>
@@ -35,7 +35,7 @@ void ExpectMatchesFullSolve(MaxMinScratch& incremental,
   }
 }
 
-TEST(MaxMinIncremental, RepeatedDesiresReuseCachedRates) {
+TEST(MaxMinIncremental, RepeatedDesiresMatchFullSolve) {
   std::vector<double> capacity{0, 900, 900, 900};
   std::vector<SimFlow> flows;
   flows.push_back({{1, 2}, 1000, 0});
@@ -43,21 +43,22 @@ TEST(MaxMinIncremental, RepeatedDesiresReuseCachedRates) {
   flows.push_back({{1}, 250, 0});
   MaxMinScratch scratch(4);
   ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
-  // Same set, same desires, three more ticks: the order cache is live.
+  // Same set, same desires, three more ticks on the warm scratch (the
+  // engine skips such ticks; the scratch must still agree).
   for (int tick = 0; tick < 3; ++tick) {
     ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
   }
 }
 
-TEST(MaxMinIncremental, DesireChangeWithStableSetResorts) {
+TEST(MaxMinIncremental, DesireChangeWithStableSetMatchesFullSolve) {
   std::vector<double> capacity{0, 600, 600};
   std::vector<SimFlow> flows;
   flows.push_back({{1}, 100, 0});
   flows.push_back({{1, 2}, 500, 0});
   MaxMinScratch scratch(3);
   ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
-  // Swap which flow is demand-limited: the cached sort order is stale and
-  // must be rebuilt, but the topology cache is still valid.
+  // Swap which flow is demand-limited: the per-link flow lists are still
+  // valid, the desire order is not.
   flows[0].desired = 900;
   flows[1].desired = 50;
   ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
@@ -74,8 +75,8 @@ TEST(MaxMinIncremental, RandomizedChurnMatchesFullSolve) {
   MaxMinScratch scratch(kLinks + 1);
   for (int step = 0; step < 200; ++step) {
     // A third of the steps churn the flow set (add/remove); the rest only
-    // redraw desires — sometimes for every flow, sometimes for none, so
-    // both the order cache and the full-reuse path get exercised.
+    // redraw desires — sometimes for every flow, sometimes for none — on
+    // the warm per-link flow lists.
     bool flows_changed = false;
     const int action = static_cast<int>(rng.UniformInt(0, 5));
     if (action == 0 || flows.empty()) {
@@ -100,7 +101,7 @@ TEST(MaxMinIncremental, RandomizedChurnMatchesFullSolve) {
       flows[rng.UniformInt(0, flows.size() - 1)].desired =
           rng.Uniform(0, 1200);
     }
-    // action 4: nothing changed at all — pure cache-reuse tick.
+    // action 4: nothing changed at all.
     ExpectMatchesFullSolve(scratch, flows, capacity, flows_changed);
   }
 }
@@ -128,7 +129,7 @@ TEST(MaxMinIncremental, AllEqualDesires) {
   ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
   for (const SimFlow& flow : flows) EXPECT_EQ(flow.rate, 150);
   // Equal desires make the sort order non-unique; repeat ticks must still
-  // reproduce the same (tie-stable) rates.
+  // reproduce the same rates.
   ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -166,6 +167,64 @@ TEST(ScenarioRun, Fig7ResultsIdenticalAcrossThreadCounts) {
     SCOPED_TRACE(a->cells[i].label + " axis " +
                  std::to_string(a->cells[i].axis_index));
     ExpectCellsIdentical(a->cells[i], b->cells[i]);
+  }
+}
+
+// fig7 at 60 jobs, all 16 cells, against values pinned from the progressive
+// filling solver before its uncongested fast path and radix-sorted cold
+// solve (printed with %.17g, so any drift in a pinned field shows).  Rate
+// drift below a tick's completion threshold leaves these fields unchanged;
+// tests/maxmin_reference_test.cc catches that bit for bit.
+TEST(ScenarioRun, Fig7ReducedMatchesPinnedGolden) {
+  const Scenario* fig7 = FindScenario("fig7");
+  ASSERT_NE(fig7, nullptr);
+  Scenario reduced = *fig7;
+  reduced.workload.num_jobs = 60;
+  ScenarioRunOptions options;
+  options.threads = 4;
+  util::Result<ScenarioRunResult> result = RunScenario(reduced, options);
+  ASSERT_TRUE(result) << result.status().ToText();
+
+  // label axis accepted rejected outage_rate steady_outage_rate
+  // mean_running_seconds
+  const std::vector<std::string> pinned = {
+      "mean-VC 0 60 0 0 0 491.13333333333333",
+      "percentile-VC 0 60 0 0 0 420.16666666666669",
+      "SVC(e=0.05) 0 60 0 0.00047955480565599893 0.00047955480565599893 "
+      "418.01666666666665",
+      "SVC(e=0.02) 0 60 0 6.3785096012357895e-05 6.3785096012357895e-05 "
+      "417.78333333333336",
+      "mean-VC 1 60 0 0 0 491.91666666666669",
+      "percentile-VC 1 60 0 0 0 419.18333333333334",
+      "SVC(e=0.05) 1 60 0 0.00068607663054351831 0.00068607663054351831 "
+      "417.63333333333333",
+      "SVC(e=0.02) 1 60 0 9.8204620067040001e-05 9.8204620067040001e-05 "
+      "417.73333333333335",
+      "mean-VC 2 60 0 0 0 492.89999999999998",
+      "percentile-VC 2 55 5 0 0 416.05454545454546",
+      "SVC(e=0.05) 2 60 0 0.00027298318022900536 0.00027298318022900536 "
+      "417.76666666666665",
+      "SVC(e=0.02) 2 60 0 0.00017904353937284561 0.00017904353937284561 "
+      "417.96666666666664",
+      "mean-VC 3 60 0 0 0 492.55000000000001",
+      "percentile-VC 3 55 5 0 0 414.36363636363637",
+      "SVC(e=0.05) 3 60 0 0.0005923300067306105 0.0005923300067306105 "
+      "417.16666666666669",
+      "SVC(e=0.02) 3 60 0 0.0003286816876310652 0.0003286816876310652 "
+      "417.78333333333336",
+  };
+  ASSERT_EQ(result->cells.size(), pinned.size());
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    const ScenarioCell& cell = result->cells[i];
+    ASSERT_TRUE(cell.online);
+    const OnlineResult& r = cell.online_result;
+    char line[256];
+    std::snprintf(line, sizeof line, "%s %d %lld %lld %.17g %.17g %.17g",
+                  cell.label.c_str(), cell.axis_index,
+                  static_cast<long long>(r.accepted),
+                  static_cast<long long>(r.rejected), r.outage.OutageRate(),
+                  r.steady_outage().OutageRate(), r.MeanRunningTime());
+    EXPECT_EQ(line, pinned[i]) << "cell " << i;
   }
 }
 
