@@ -20,7 +20,7 @@
 //
 //   SVC_METRIC_INC("manager/admit_attempt");
 //   SVC_METRIC_HIST("manager/admit_latency_us", micros);
-//   SVC_METRIC_GAUGE_SET("engine/flows", flows.size());
+//   SVC_METRIC_GAUGE_SET("pipeline/depth", depth);
 //
 // Dynamic names (e.g. per-allocator counters) go through the registry
 // directly with a stack-composed name; lookups after the first take only a

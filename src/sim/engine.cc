@@ -212,13 +212,19 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
   // the previous max-min solution is still exact.
   const bool token_bucket =
       config_.enforcement == Enforcement::kTokenBucket;
+  // The tick's standard normals first, one per flow in flow order: the
+  // same values per-flow Normal() calls would draw.
+  const size_t n = flows_.size();
+  if (normals_.size() < n) normals_.resize(n);
+  rng_.FillStandardNormal(normals_.data(), n, normal_scratch_);
   bool desires_changed = false;
-  for (size_t f = 0; f < flows_.size(); ++f) {
+  for (size_t f = 0; f < n; ++f) {
     FlowMeta& m = meta_[f];
+    const double z = normals_[f];
     const double draw =
         m.distribution == workload::RateDistribution::kLogNormal
-            ? std::exp(rng_.Normal(m.log_mu, m.log_sigma))
-            : std::max(0.0, rng_.Normal(m.rate_mean, m.rate_stddev));
+            ? std::exp(m.log_mu + m.log_sigma * z)
+            : std::max(0.0, m.rate_mean + m.rate_stddev * z);
     double desired;
     if (token_bucket && std::isfinite(m.rate_cap)) {
       desired = m.bucket.Admit(draw, dt);
@@ -239,6 +245,7 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
     SVC_METRIC_INC("engine/steady_ticks");
   } else {
     SVC_METRIC_INC("engine/solve_ticks");
+    SVC_METRIC_HIST("engine/flows", static_cast<double>(flows_.size()));
     scratch_.Allocate(flows_, capacity_, flows_dirty_);
   }
 
@@ -256,20 +263,27 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
       cached_outage_links_ = 0;
       cached_util_sum_ = 0;
       cached_util_max_ = 0;
-      for (topology::VertexId link : scratch_.active_links()) {
-        const double offered = scratch_.offered_load(link);
-        ++cached_busy_links_;
-        if (offered > capacity_[link] * (1 + 1e-9)) {
-          ++cached_outage_links_;
-        }
-        // Offered utilization of the loaded link this second (may exceed 1
-        // when the link is in outage; max-min then throttles the flows).
-        if (want_util && capacity_[link] > 0) {
-          const double util = offered / capacity_[link];
-          cached_util_sum_ += util;
-          cached_util_max_ = std::max(cached_util_max_, util);
-          if (metrics) {
-            SVC_METRIC_HIST("engine/link_utilization", util);
+      if (scratch_.uncongested() && !want_util) {
+        // Every active link carries at most C(1 - 1e-9), so none exceeds
+        // C(1 + 1e-9): all are busy and none is in outage.
+        cached_busy_links_ =
+            static_cast<int64_t>(scratch_.active_links().size());
+      } else {
+        for (topology::VertexId link : scratch_.active_links()) {
+          const double offered = scratch_.offered_load(link);
+          ++cached_busy_links_;
+          if (offered > capacity_[link] * (1 + 1e-9)) {
+            ++cached_outage_links_;
+          }
+          // Offered utilization of the loaded link this second (may exceed
+          // 1 when the link is in outage; max-min then throttles the flows).
+          if (want_util && capacity_[link] > 0) {
+            const double util = offered / capacity_[link];
+            cached_util_sum_ += util;
+            cached_util_max_ = std::max(cached_util_max_, util);
+            if (metrics) {
+              SVC_METRIC_HIST("engine/link_utilization", util);
+            }
           }
         }
       }
@@ -286,7 +300,6 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
     }
   }
 
-  SVC_METRIC_GAUGE_SET("engine/flows", static_cast<double>(flows_.size()));
   if (config_.series != nullptr && now >= next_sample_time_) {
     next_sample_time_ = now + config_.series_period;
     AppendSeriesSample(now);

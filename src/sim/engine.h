@@ -238,6 +238,9 @@ class Engine {
   int64_t cached_busy_links_ = 0;    // loaded links in the last outage pass
   int64_t cached_outage_links_ = 0;  // over-capacity links in that pass
   std::vector<SimFlow> check_flows_;  // scratch for CheckIncrementalRates
+  // The tick's standard normal draws (one per flow) and their scratch.
+  std::vector<double> normals_;
+  std::vector<double> normal_scratch_;
 
   // Fault-plane state (RunOnline): the pre-built schedule, a cursor into
   // it, and whether any element is currently down (failure epoch — outage

@@ -23,18 +23,22 @@ void MaxMinScratch::SortByDesire() {
   const size_t n = order_.size();
   if (n < 2) return;
   // Every key is a positive double, whose bit pattern orders like its
-  // value.  One read pass fills all eight byte histograms.
-  constexpr int kBytes = 8;
+  // value.  An LSD radix sort over the top three bytes (sign, exponent and
+  // 12 mantissa bits) leaves only keys that share those 24 bits out of
+  // order, and those are rare and adjacent.  One read pass fills the three
+  // byte histograms.
+  constexpr int kLowByte = 5;
+  constexpr int kBytes = 3;
   uint32_t histogram[kBytes][256] = {};
   for (const DesireKey& key : order_) {
     for (int b = 0; b < kBytes; ++b) {
-      ++histogram[b][(key.bits >> (8 * b)) & 0xff];
+      ++histogram[b][(key.bits >> (8 * (kLowByte + b))) & 0xff];
     }
   }
   sort_buffer_.resize(n);
   for (int b = 0; b < kBytes; ++b) {
     uint32_t* offsets = histogram[b];
-    const int shift = 8 * b;
+    const int shift = 8 * (kLowByte + b);
     // A byte every key shares would leave the order as it is.
     if (offsets[(order_[0].bits >> shift) & 0xff] == n) continue;
     uint32_t sum = 0;
@@ -48,29 +52,48 @@ void MaxMinScratch::SortByDesire() {
     }
     order_.swap(sort_buffer_);
   }
+  // Insertion pass on the full bits.  Many distinct keys sharing their top
+  // 24 bits would make it quadratic, so past a linear budget of moves the
+  // order is finished with a comparison sort instead.
+  size_t budget = 8 * n;
+  for (size_t i = 1; i < n; ++i) {
+    const DesireKey key = order_[i];
+    if (order_[i - 1].bits <= key.bits) continue;
+    size_t j = i;
+    do {
+      order_[j] = order_[j - 1];
+      --j;
+    } while (j > 0 && order_[j - 1].bits > key.bits);
+    order_[j] = key;
+    if (i - j > budget) {
+      std::sort(order_.begin(), order_.end(),
+                [](const DesireKey& lhs, const DesireKey& rhs) {
+                  return lhs.bits < rhs.bits;
+                });
+      return;
+    }
+    budget -= i - j;
+  }
 }
 
-void MaxMinScratch::BuildLinkFlows(const std::vector<SimFlow>& flows) {
-  // Count, prefix-sum over the active links, then fill in flow order.
-  for (topology::VertexId link : active_links_) flows_end_[link] = 0;
-  for (const SimFlow& flow : flows) {
-    for (topology::VertexId link : flow.links) ++flows_end_[link];
-  }
+void MaxMinScratch::BuildLinkFlows(const std::vector<SimFlow>& flows,
+                                   size_t first) {
+  // Offsets from the unfrozen counts, then fill in sorted order.  The
+  // order within a list does not matter: every flow a rule-2 event freezes
+  // subtracts the same level from each of its links.
   int offset = 0;
-  for (topology::VertexId link : active_links_) {
-    const int incidences = flows_end_[link];
+  for (topology::VertexId link : live_links_) {
     flows_begin_[link] = offset;
     flows_end_[link] = offset;
-    offset += incidences;
+    offset += count_[link];
   }
   link_flows_.resize(offset);
-  const int n = static_cast<int>(flows.size());
-  for (int f = 0; f < n; ++f) {
+  for (size_t i = first; i < order_.size(); ++i) {
+    const int f = order_[i].flow;
     for (topology::VertexId link : flows[f].links) {
       link_flows_[flows_end_[link]++] = f;
     }
   }
-  have_link_flows_ = true;
 }
 
 void MaxMinScratch::Allocate(std::vector<SimFlow>& flows,
@@ -82,7 +105,6 @@ void MaxMinScratch::Allocate(std::vector<SimFlow>& flows,
 
   if (flows_changed) {
     SVC_METRIC_INC("maxmin/cold_solves");
-    have_link_flows_ = false;
   } else {
     SVC_METRIC_INC("maxmin/incremental_solves");
   }
@@ -95,8 +117,9 @@ void MaxMinScratch::Allocate(std::vector<SimFlow>& flows,
     epoch_ = 1;
   }
   frozen_.resize(n);
-  order_.clear();
+  if (order_.size() < static_cast<size_t>(n)) order_.resize(n);
   active_links_.clear();
+  size_t live_flows = 0;
   size_t incidences = 0;
   for (int f = 0; f < n; ++f) {
     SimFlow& flow = flows[f];
@@ -107,43 +130,42 @@ void MaxMinScratch::Allocate(std::vector<SimFlow>& flows,
     flow.rate = std::max(0.0, desired);
     const bool live = desired > 0 && !flow.links.empty();
     frozen_[f] = !live;
-    if (live) order_.push_back({std::bit_cast<uint64_t>(desired), f});
+    order_[live_flows] = {std::bit_cast<uint64_t>(desired), f};
+    live_flows += live;
     incidences += flow.links.size();
+    // A flow that is not live adds +0.0 and 0, which leaves the link's
+    // (non-negative) sums as they are.
+    const double load = live ? desired : 0.0;
+    const int unfrozen = live;
     for (topology::VertexId link : flow.links) {
-      if (seen_[link] != epoch_) {
+      const bool first_seen = seen_[link] != epoch_;
+      if (first_seen) {
         seen_[link] = epoch_;
         active_links_.push_back(link);
-        offered_[link] = 0;
-        count_[link] = 0;
       }
-      if (live) {
-        offered_[link] += desired;
-        ++count_[link];
-      }
+      offered_[link] = (first_seen ? 0.0 : offered_[link]) + load;
+      count_[link] = (first_seen ? 0 : count_[link]) + unfrozen;
     }
   }
-  if (flows_changed && obs::MetricsEnabled()) {
-    // Mean flows crossing an active link — a congestion/sharing signal
-    // the registry exposes alongside the solve counters.
-    SVC_METRIC_GAUGE_SET(
-        "maxmin/flows_per_link",
-        active_links_.empty()
-            ? 0.0
-            : static_cast<double>(incidences) / active_links_.size());
+  order_.resize(live_flows);
+  if (flows_changed && !active_links_.empty()) {
+    // Mean flows crossing an active link: how much the links are shared.
+    SVC_METRIC_HIST("maxmin/flows_per_link",
+                    static_cast<double>(incidences) / active_links_.size());
   }
 
   // Uncongested fast path: every link's offered load is at most
   // (1 - kUncongestedSlack) of its capacity, so rule 1 would freeze every
   // flow at its desire (proof in docs/PERFORMANCE.md §2).
   const double safe_fraction = 1 - kUncongestedSlack;
-  bool congested = false;
+  uncongested_ = true;
   for (topology::VertexId link : active_links_) {
     if (!(offered_[link] <= capacity[link] * safe_fraction)) {
-      congested = true;
+      uncongested_ = false;
       break;
     }
   }
-  if (!congested) {
+  if (uncongested_) {
     SVC_METRIC_INC("maxmin/uncongested_solves");
     return;
   }
@@ -158,6 +180,7 @@ void MaxMinScratch::Allocate(std::vector<SimFlow>& flows,
   live_links_.assign(active_links_.begin(), active_links_.end());
   int unfrozen = static_cast<int>(order_.size());
   size_t next_demand = 0;
+  bool have_link_flows = false;
 
   auto freeze = [&](int f, double rate) {
     SimFlow& flow = flows[f];
@@ -191,23 +214,31 @@ void MaxMinScratch::Allocate(std::vector<SimFlow>& flows,
     assert(bottleneck != topology::kNoVertex);
 
     // Rule 1: batch-freeze demand-limited flows.  Freezing a flow with
-    // desired <= level only raises link shares, so one pass is safe.
+    // desired <= level only raises link shares, so one pass is safe.  The
+    // level is a non-negative double (+0.0 added turns a -0.0 into +0.0),
+    // so comparing bit patterns compares values.
+    const uint64_t level_bits = std::bit_cast<uint64_t>(level + 0.0);
     bool any_demand_frozen = false;
     while (next_demand < order_.size()) {
-      const int f = order_[next_demand].flow;
-      if (frozen_[f]) {
+      const DesireKey key = order_[next_demand];
+      if (frozen_[key.flow]) {
         ++next_demand;
         continue;
       }
-      if (flows[f].desired > level) break;
-      freeze(f, flows[f].desired);
+      if (key.bits > level_bits) break;
+      freeze(key.flow, std::bit_cast<double>(key.bits));
       ++next_demand;
       any_demand_frozen = true;
     }
     if (any_demand_frozen) continue;  // shares changed; recompute level
 
-    // Rule 2: saturate the bottleneck link.
-    if (!have_link_flows_) BuildLinkFlows(flows);
+    // Rule 2: saturate the bottleneck link.  Until the first saturation
+    // only rule 1 has frozen flows, so order_[next_demand..] is exactly the
+    // unfrozen set the lists are built over.
+    if (!have_link_flows) {
+      BuildLinkFlows(flows, next_demand);
+      have_link_flows = true;
+    }
     for (int i = flows_begin_[bottleneck]; i < flows_end_[bottleneck]; ++i) {
       const int f = link_flows_[i];
       if (!frozen_[f]) freeze(f, level);

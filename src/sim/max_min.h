@@ -25,8 +25,8 @@
 // desires and the call returns there (the uncongested fast path; it is
 // exact, see docs/PERFORMANCE.md §2).  Otherwise the full filling runs on
 // a radix-sorted desire order, and the per-link flow lists rule 2 needs
-// are built only once it fires — then reused while the caller reports the
-// flow set unchanged.  The rates are bit-identical to plain progressive
+// are built once per call, when it first fires, over the flows still
+// unfrozen then.  The rates are bit-identical to plain progressive
 // filling: tests/maxmin_reference_test holds a verbatim reference.
 #pragma once
 
@@ -60,11 +60,10 @@ class MaxMinScratch {
   // Computes flow.rate for every flow.  `capacity[v]` is the capacity of
   // vertex v's uplink (index 0 / root unused).
   //
-  // `flows_changed` is the caller's signal that the flow set may differ
-  // from the previous call (membership, order, or any `links` vector).
-  // Pass false ONLY when the flows vector is element-for-element the same
-  // as last time (desires may differ): the scratch then reuses its
-  // per-link flow lists.  Passing true is always safe.
+  // `flows_changed` tells whether the flow set may differ from the previous
+  // call (membership, order, or any `links` vector).  Nothing is cached
+  // across calls, so it only selects which of the maxmin/{cold,
+  // incremental}_solves counters the call adds to.
   void Allocate(std::vector<SimFlow>& flows,
                 const std::vector<double>& capacity,
                 bool flows_changed = true);
@@ -79,6 +78,9 @@ class MaxMinScratch {
   double offered_load(topology::VertexId link) const {
     return offered_[link];
   }
+  // True iff the last Allocate took the uncongested fast path: every
+  // active link's offered load is at most capacity * (1 - kUncongestedSlack).
+  bool uncongested() const { return uncongested_; }
 
  private:
   // A networked flow's desire bit pattern (positive doubles order like
@@ -88,28 +90,31 @@ class MaxMinScratch {
     int32_t flow;
   };
 
-  // Stable LSD radix sort of order_ by desire.
+  // Sorts order_ by desire (ties in any order).
   void SortByDesire();
-  // Builds the per-link flow lists (CSR over the active links).
-  void BuildLinkFlows(const std::vector<SimFlow>& flows);
+  // Builds the per-link lists of the flows order_[first..] (CSR over
+  // live_links_, sized by count_), which must be exactly the unfrozen flows.
+  void BuildLinkFlows(const std::vector<SimFlow>& flows, size_t first);
 
   // Per link (indexed like `capacity`).
   std::vector<double> offered_;
   std::vector<double> remaining_;
   std::vector<int> count_;         // unfrozen flows crossing the link
   std::vector<uint32_t> seen_;     // epoch_ of the last call that saw it
-  std::vector<int> flows_begin_;   // link_flows_ range [begin, end)
+  // The link's range [begin, end) in link_flows_, valid for the live
+  // links once rule 2 has fired in the current call.
+  std::vector<int> flows_begin_;
   std::vector<int> flows_end_;
   uint32_t epoch_ = 0;
 
   std::vector<topology::VertexId> active_links_;
   std::vector<topology::VertexId> live_links_;  // active, count_ > 0
-  std::vector<int> link_flows_;                 // flow indices, by link
-  bool have_link_flows_ = false;
+  std::vector<int> link_flows_;  // unfrozen flow indices, by link (CSR)
+  bool uncongested_ = false;
 
   // Per flow.
   std::vector<char> frozen_;
-  std::vector<DesireKey> order_;  // unfrozen flows ascending by desire
+  std::vector<DesireKey> order_;  // live flows, ascending by desire
   std::vector<DesireKey> sort_buffer_;
 };
 

@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -24,22 +22,6 @@ Rng::Rng(uint64_t seed) {
   // All-zero state would be a fixed point; SplitMix64 cannot produce four
   // zero outputs in a row, but guard anyway.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::UniformDouble() {
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -60,25 +42,46 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(draw % range);
 }
 
-double Rng::StandardNormal() {
-  if (has_spare_) {
+void Rng::FillStandardNormal(double* out, size_t n,
+                             std::vector<double>& scratch) {
+  size_t filled = 0;
+  if (n > 0 && has_spare_) {
     has_spare_ = false;
-    return spare_normal_;
+    out[filled++] = spare_normal_;
   }
-  double u, v, s;
-  do {
-    u = 2.0 * UniformDouble() - 1.0;
-    v = 2.0 * UniformDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_normal_ = v * factor;
-  has_spare_ = true;
-  return u * factor;
-}
-
-double Rng::Normal(double mean, double stddev) {
-  return mean + stddev * StandardNormal();
+  if (filled == n) return;
+  // One accepted (u, v, s) triple per pair of outputs; the last pair's v
+  // becomes the spare when the count left is odd.  Every attempt is
+  // written to slot `pairs`, which advances only on acceptance, so the
+  // loop draws exactly the uniforms StandardNormal() would.
+  const size_t wanted = (n - filled + 1) / 2;
+  if (scratch.size() < 3 * (wanted + 1)) scratch.resize(3 * (wanted + 1));
+  double* us = scratch.data();
+  double* vs = us + (wanted + 1);
+  double* ss = vs + (wanted + 1);
+  size_t pairs = 0;
+  while (pairs < wanted) {
+    const double u = 2.0 * UniformDouble() - 1.0;
+    const double v = 2.0 * UniformDouble() - 1.0;
+    const double s = u * u + v * v;
+    us[pairs] = u;
+    vs[pairs] = v;
+    ss[pairs] = s;
+    pairs += static_cast<size_t>(s < 1.0) & static_cast<size_t>(s != 0.0);
+  }
+  for (size_t i = 0; i < wanted; ++i) {
+    ss[i] = std::sqrt(-2.0 * std::log(ss[i]) / ss[i]);
+  }
+  const size_t full = (n - filled) / 2;
+  for (size_t i = 0; i < full; ++i) {
+    out[filled++] = us[i] * ss[i];
+    out[filled++] = vs[i] * ss[i];
+  }
+  if (filled < n) {
+    out[filled] = us[full] * ss[full];
+    spare_normal_ = vs[full] * ss[full];
+    has_spare_ = true;
+  }
 }
 
 double Rng::Exponential(double mean) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -22,8 +23,17 @@
 namespace svc::sim {
 namespace {
 
+// Counts what a solve exercised: rule-2 saturations, and frozen flows that
+// rule 1 stepped over in the desire order (flows a saturation froze ahead
+// of unfrozen ones with smaller desires).
+struct ReferenceStats {
+  int saturations = 0;
+  int frozen_skipped = 0;
+};
+
 void ReferenceAllocate(std::vector<SimFlow>& flows,
-                       const std::vector<double>& capacity) {
+                       const std::vector<double>& capacity,
+                       ReferenceStats* stats = nullptr) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const int n = static_cast<int>(flows.size());
   const size_t num_links = capacity.size();
@@ -101,6 +111,7 @@ void ReferenceAllocate(std::vector<SimFlow>& flows,
       const int f = order[next_demand];
       if (frozen[f]) {
         ++next_demand;
+        if (stats != nullptr) ++stats->frozen_skipped;
         continue;
       }
       if (flows[f].desired > level) break;
@@ -110,6 +121,7 @@ void ReferenceAllocate(std::vector<SimFlow>& flows,
     }
     if (any_demand_frozen) continue;
 
+    if (stats != nullptr) ++stats->saturations;
     for (int f : flows_on[bottleneck]) {
       if (!frozen[f]) freeze(f, level);
     }
@@ -306,6 +318,143 @@ TEST(MaxMinReference, EqualBottleneckSharesOnSeveralLinks) {
   flows.push_back({{4}, 1000, 0});
   ExpectMatchesReference(flows, capacity);
   for (int f = 1; f <= 7; ++f) EXPECT_EQ(flows[f].rate, 300) << f;
+}
+
+// Desires that differ only in their low mantissa bits: nextafter chains
+// whose keys share the top 24 bits the radix passes sort by, in ascending,
+// descending and shuffled order, short enough for the insertion pass and
+// long enough to exhaust its budget.  Link 1's capacity puts the level in
+// the middle of the chain, so a misordered flow below it would be
+// saturated at the level instead of frozen at its desire.
+TEST(MaxMinReference, DesiresSharingTheirTopBits) {
+  stats::Rng rng(24);
+  for (const int k : {2, 3, 17, 200, 2000}) {
+    for (const int shape : {0, 1, 2}) {
+      std::vector<double> chain(k);
+      double desire = 300.0;
+      for (double& d : chain) {
+        d = desire;
+        desire = std::nextafter(desire, 1000.0);
+      }
+      const double middle = chain[k / 2];
+      if (shape == 1) std::reverse(chain.begin(), chain.end());
+      if (shape == 2) {
+        for (int i = k - 1; i > 0; --i) {
+          std::swap(chain[i], chain[rng.UniformInt(0, i)]);
+        }
+      }
+      // Link 2 carries the odd flows and stays loose.
+      std::vector<double> capacity{0, middle * k, 1000.0 * k};
+      std::vector<SimFlow> flows;
+      for (int i = 0; i < k; ++i) {
+        SimFlow flow;
+        flow.links = i % 2 == 1 ? std::vector<int32_t>{1, 2}
+                                : std::vector<int32_t>{1};
+        flow.desired = chain[i];
+        flows.push_back(flow);
+      }
+      SCOPED_TRACE("k " + std::to_string(k) + " shape " +
+                   std::to_string(shape));
+      ExpectMatchesReference(flows, capacity);
+    }
+  }
+}
+
+// Subnormal and huge positive desires: bit patterns at both ends of the
+// positive range, mixed with ordinary ones, on loose and tight links.
+TEST(MaxMinReference, SubnormalAndHugeDesires) {
+  const double kTiny = std::numeric_limits<double>::denorm_min();
+  const double kSmallestNormal = std::numeric_limits<double>::min();
+  stats::Rng rng(300);
+  for (int instance = 0; instance < 200; ++instance) {
+    const int links = static_cast<int>(rng.UniformInt(1, 6));
+    std::vector<double> capacity(links + 1, 0.0);
+    for (int v = 1; v <= links; ++v) {
+      const int64_t kind = rng.UniformInt(0, 3);
+      capacity[v] = kind == 0   ? 1e300
+                    : kind == 1 ? 1e-310
+                    : kind == 2 ? 1000.0
+                                : 3e300;
+    }
+    std::vector<SimFlow> flows(rng.UniformInt(1, 30));
+    for (SimFlow& flow : flows) {
+      const int hops = static_cast<int>(rng.UniformInt(1, 3));
+      for (int h = 0; h < hops; ++h) {
+        flow.links.push_back(static_cast<int32_t>(rng.UniformInt(1, links)));
+      }
+      const int64_t kind = rng.UniformInt(0, 5);
+      flow.desired = kind == 0   ? kTiny * static_cast<double>(
+                                                rng.UniformInt(1, 1000))
+                     : kind == 1 ? kSmallestNormal * rng.Uniform(0.001, 1)
+                     : kind == 2 ? 1e300 * rng.Uniform(0.5, 1.5)
+                     : kind == 3 ? 1e300
+                                 : rng.Uniform(0, 600);
+    }
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    ExpectMatchesReference(flows, capacity);
+  }
+}
+
+// Many exact ties: a handful of distinct desires shared by hundreds of
+// flows over shared links.
+TEST(MaxMinReference, ManyExactTies) {
+  stats::Rng rng(4096);
+  for (int instance = 0; instance < 40; ++instance) {
+    const int links = 8;
+    std::vector<double> capacity(links + 1, 0.0);
+    for (int v = 1; v <= links; ++v) {
+      capacity[v] = 1000.0 * static_cast<double>(rng.UniformInt(1, 30));
+    }
+    std::vector<SimFlow> flows(rng.UniformInt(100, 600));
+    for (SimFlow& flow : flows) {
+      const int hops = static_cast<int>(rng.UniformInt(1, 3));
+      for (int h = 0; h < hops; ++h) {
+        flow.links.push_back(static_cast<int32_t>(rng.UniformInt(1, links)));
+      }
+      flow.desired = 100.0 * static_cast<double>(rng.UniformInt(1, 4));
+    }
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    ExpectMatchesReference(flows, capacity);
+  }
+}
+
+// Mean-VC shape under overload: hard caps make many desires equal their
+// flow's cap, each flow crosses several links that saturate, so a solve
+// makes many rule-2 saturations and leaves frozen flows between unfrozen
+// ones in the desire order.  The reference counts both to show the
+// instances reach them.
+TEST(MaxMinReference, HardCappedManySaturations) {
+  stats::Rng rng(1412);
+  ReferenceStats total;
+  int solves = 0;
+  for (int instance = 0; instance < 150; ++instance) {
+    const int links = static_cast<int>(rng.UniformInt(4, 24));
+    std::vector<double> capacity(links + 1, 0.0);
+    for (int v = 1; v <= links; ++v) {
+      capacity[v] = 250.0 * static_cast<double>(rng.UniformInt(1, 8));
+    }
+    std::vector<SimFlow> flows(rng.UniformInt(20, 120));
+    for (SimFlow& flow : flows) {
+      // Distinct links per flow, like a path up and down a tree.
+      const int hops = static_cast<int>(rng.UniformInt(1, 4));
+      while (static_cast<int>(flow.links.size()) < hops) {
+        const int32_t link = static_cast<int32_t>(rng.UniformInt(1, links));
+        if (std::find(flow.links.begin(), flow.links.end(), link) ==
+            flow.links.end()) {
+          flow.links.push_back(link);
+        }
+      }
+      const double cap = 50.0 * static_cast<double>(rng.UniformInt(1, 6));
+      flow.desired = std::min(std::max(0.0, rng.Uniform(-100, 2 * cap)), cap);
+    }
+    std::vector<SimFlow> probe = flows;
+    ReferenceAllocate(probe, capacity, &total);
+    ++solves;
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    ExpectMatchesReference(flows, capacity);
+  }
+  EXPECT_GE(total.saturations, 3 * solves);
+  EXPECT_GT(total.frozen_skipped, solves);
 }
 
 // A persistent scratch fed the same flow set (flows_changed = false) with

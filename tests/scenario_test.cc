@@ -228,6 +228,47 @@ TEST(ScenarioRun, Fig7ReducedMatchesPinnedGolden) {
   }
 }
 
+// ablation_enforcement saturates links far more often per solve than fig7
+// (hard caps and token buckets fill links to exactly C), so it pins the
+// solver's rule-2 path.  The values were recorded before the per-solve
+// saturation lists, the three-byte desire sort and the batched normal
+// draws; they must not move.
+TEST(ScenarioRun, AblationEnforcementReducedMatchesPinnedGolden) {
+  const Scenario* ablation = FindScenario("ablation_enforcement");
+  ASSERT_NE(ablation, nullptr);
+  Scenario reduced = *ablation;
+  reduced.workload.num_jobs = 60;
+  ScenarioRunOptions options;
+  options.threads = 4;
+  util::Result<ScenarioRunResult> result = RunScenario(reduced, options);
+  ASSERT_TRUE(result) << result.status().ToText();
+
+  // label completed unallocatable total_completion_time simulated_seconds
+  // outage_rate mean_running_seconds
+  const std::vector<std::string> pinned = {
+      "mean-VC/hard_cap 60 0 735 735 0 551.75",
+      "mean-VC/token_bucket 60 0 568 568 0.14310858008962304 "
+      "437.98333333333335",
+      "percentile-VC/hard_cap 60 0 1271 1271 0 419.73333333333335",
+      "percentile-VC/token_bucket 60 0 1249 1249 0.00087319469582240608 "
+      "416.38333333333333",
+      "SVC/hard_cap 60 0 861 861 0.0054830169825932874 416.46666666666664",
+  };
+  ASSERT_EQ(result->cells.size(), pinned.size());
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    const ScenarioCell& cell = result->cells[i];
+    ASSERT_FALSE(cell.online);
+    const BatchResult& r = cell.batch;
+    char line[256];
+    std::snprintf(line, sizeof line, "%s %zu %lld %.17g %.17g %.17g %.17g",
+                  cell.label.c_str(), r.jobs.size(),
+                  static_cast<long long>(r.unallocatable_jobs),
+                  r.total_completion_time, r.simulated_seconds,
+                  r.outage.OutageRate(), r.MeanRunningTime());
+    EXPECT_EQ(line, pinned[i]) << "cell " << i;
+  }
+}
+
 // fig7 at a reduced job count replays its decision stream bit-identically:
 // two runs of the registry entry publish the same records in the same
 // order, modulo the wall-clock stamps (ts_ns, stage latencies, worker tid).

@@ -1,7 +1,11 @@
 #include "stats/rng.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -83,6 +87,56 @@ TEST(Rng, NormalMoments) {
   for (int i = 0; i < 100000; ++i) m.Add(rng.Normal(300, 90));
   EXPECT_NEAR(m.mean(), 300, 1.5);
   EXPECT_NEAR(std::sqrt(m.variance()), 90, 1.5);
+}
+
+// FillStandardNormal must return exactly what n sequential StandardNormal()
+// calls would, with or without a spare pending beforehand, and leave the
+// stream (spare and generator state) where those calls would.
+TEST(Rng, FillStandardNormalMatchesSequentialCalls) {
+  std::vector<double> scratch;
+  for (const bool pending_spare : {false, true}) {
+    for (const size_t n : {0, 1, 2, 3, 7, 64, 1000}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " pending spare " +
+                   std::to_string(pending_spare));
+      Rng sequential(53 + n);
+      Rng batched(53 + n);
+      if (pending_spare) {
+        // One call leaves the pair's second value as the spare.
+        EXPECT_EQ(sequential.StandardNormal(), batched.StandardNormal());
+      }
+      std::vector<double> expected(n);
+      for (double& z : expected) z = sequential.StandardNormal();
+      std::vector<double> got(n, -1.0);
+      batched.FillStandardNormal(got.data(), n, scratch);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i]),
+                  std::bit_cast<uint64_t>(expected[i]))
+            << "draw " << i;
+      }
+      for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(batched.StandardNormal()),
+                  std::bit_cast<uint64_t>(sequential.StandardNormal()))
+            << "next normal " << i;
+      }
+      EXPECT_EQ(batched.NextU64(), sequential.NextU64());
+    }
+  }
+}
+
+// Batches of mixed sizes, back to back, reproduce one long sequential run.
+TEST(Rng, FillStandardNormalBatchesChain) {
+  Rng sequential(59);
+  Rng batched(59);
+  std::vector<double> scratch;
+  std::vector<double> got;
+  for (const size_t n : {5, 0, 1, 1, 2, 9, 33, 4}) {
+    got.assign(n, 0.0);
+    batched.FillStandardNormal(got.data(), n, scratch);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i], sequential.StandardNormal()) << "batch " << n;
+    }
+  }
+  EXPECT_EQ(batched.NextU64(), sequential.NextU64());
 }
 
 TEST(Rng, ExponentialMoments) {
