@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <utility>
 
 #include "obs/decision_log.h"
@@ -11,6 +12,7 @@
 #include "obs/trace.h"
 #include "svc/homogeneous_search.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace svc::bench {
 namespace {
@@ -264,6 +266,26 @@ void AddBenchmarksMember(util::JsonWriter& w,
     w.EndObject();
   }
   w.EndArray();
+}
+
+HostShape DetectHostShape(const std::string& sysfs_root) {
+  HostShape shape;
+  shape.cpus = util::ThreadPool::HardwareThreads();
+  int nodes = 0;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(
+           std::filesystem::path(sysfs_root) / "devices/system/node", ec);
+       !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() > 4 && name.compare(0, 4, "node") == 0 &&
+        name.find_first_not_of("0123456789", 4) == std::string::npos) {
+      ++nodes;
+    }
+  }
+  shape.nodes = std::max(nodes, 1);
+  shape.summary = std::to_string(shape.nodes) + " nodes / " +
+                  std::to_string(shape.cpus) + " cpus";
+  return shape;
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {

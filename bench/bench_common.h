@@ -177,6 +177,17 @@ struct BenchRecord {
 void AddBenchmarksMember(util::JsonWriter& w,
                          const std::vector<BenchRecord>& records);
 
+// The host's shape for bench snapshot headers: logical cpus
+// (util::ThreadPool::HardwareThreads) and NUMA nodes, the count of
+// `node<N>` entries under `<sysfs_root>/devices/system/node` (1 when that
+// directory is missing or unreadable).
+struct HostShape {
+  int cpus = 1;
+  int nodes = 1;
+  std::string summary;  // "<nodes> nodes / <cpus> cpus"
+};
+HostShape DetectHostShape(const std::string& sysfs_root = "/sys");
+
 // Writes `content` to `path`; returns false (with a message on stderr) on
 // I/O failure.
 bool WriteFile(const std::string& path, const std::string& content);

@@ -12,16 +12,14 @@
 //              pre-loaded fabric, plus heap allocations per call after
 //              warm-up (must be zero: thread-local DP arena + recycled
 //              placement buffers; alloc_counter.cc counts operator new).
-//              Also timed: the level-parallel variant (placements must be
-//              bit-identical to serial) and both heterogeneous allocators
-//              on a smaller fabric sized to their complexity.
+//              Also timed: both heterogeneous allocators on a smaller
+//              fabric sized to their complexity.
 //   admission — AdmitBatch throughput through core::AdmissionPipeline, one
 //              worker (the serial baseline, record admission_throughput_1w)
 //              vs --pipeline-workers (record admission_throughput), over a
 //              fill/release churn workload.  Verdicts and placements must
-//              be bit-identical across worker counts (deterministic commit
-//              discipline); conflict/retry/fallback counts ride along as
-//              record extras.
+//              be bit-identical across worker counts; conflict/fallback
+//              counts ride along as record extras.
 //   sharded  — AdmitBatch throughput with --admit-shards commit shards on a
 //              ~100k-machine fabric pre-loaded with 10^5 live tenants
 //              (record admission_sharded, with the shard count and the
@@ -56,8 +54,6 @@
 #include "svc/manager.h"
 #include "svc/scratch_arena.h"
 #include "topology/builders.h"
-#include "util/affinity.h"
-#include "util/cpu_topology.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
@@ -85,11 +81,6 @@ std::string GitSha() {
     sha.pop_back();
   }
   return sha.empty() ? "unknown" : sha;
-}
-
-bool SamePlacement(const core::Placement& a, const core::Placement& b) {
-  return a.subtree_root == b.subtree_root &&
-         a.max_occupancy == b.max_occupancy && a.vm_machine == b.vm_machine;
 }
 
 bool SameJobs(const std::vector<sim::JobRecord>& a,
@@ -183,27 +174,11 @@ int main(int argc, char** argv) {
       "tenants pre-loaded onto the sharded fabric before measuring");
   int64_t& shard_iters = flags.Int(
       "shard-iters", 256, "admission requests per sharded pipeline round");
-  std::string& placement_flag = flags.String(
-      "placement", "none",
-      "worker placement for admission_sharded "
-      "(none|compact|scatter|shard_node): pins shard commit workers per "
-      "docs/PERFORMANCE.md §7.  The serial baseline always runs unpinned, "
-      "so the suite's identity gate doubles as the pinning-on-vs-off "
-      "bit-identity check");
   std::string& out = flags.String("out", "BENCH_PERF.json", "output path");
   flags.Parse(argc, argv);
-  util::PlacementPolicy placement_policy = util::PlacementPolicy::kNone;
-  if (!util::ParsePlacementPolicy(placement_flag, &placement_policy)) {
-    std::fprintf(stderr,
-                 "perf_suite: unknown --placement '%s' "
-                 "(none|compact|scatter|shard_node)\n",
-                 placement_flag.c_str());
-    return 1;
-  }
-  // Host topology, for the snapshot header (tools/bench_diff.py warns when
-  // diffing snapshots recorded on mismatched topologies) and for the
-  // sharded pipeline's placement plan.
-  const util::CpuTopology host_topo = util::CpuTopology::Detect();
+  // Host shape, for the snapshot header (tools/bench_diff.py warns when
+  // diffing snapshots recorded on differently shaped hosts).
+  const bench::HostShape host = bench::DetectHostShape();
   bench::ObsScope obs(common);
 
   // Measurement-workload identity for the snapshot header: the fabric,
@@ -369,41 +344,6 @@ int main(int argc, char** argv) {
       "allocate: %.0f calls/s  %.3f heap allocations/call  (obs enabled)\n",
       obs_calls_per_sec, obs_allocs_per_call);
 
-  // --- Allocate, level-parallel: same fabric and request as the serial ---
-  // loop; placements must be bit-identical (the suite's second hard gate).
-  util::ThreadPool alloc_pool(common.threads());
-  core::HomogeneousSearchOptions parallel_options;
-  parallel_options.pool = &alloc_pool;
-  const core::HomogeneousSearchAllocator parallel_alloc(parallel_options,
-                                                        "svc-dp-par");
-  bool parallel_identical = true;
-  {
-    auto serial_ref = alloc.Allocate(request, manager.ledger(), manager.slots());
-    auto parallel_ref =
-        parallel_alloc.Allocate(request, manager.ledger(), manager.slots());
-    parallel_identical = serial_ref.ok() && parallel_ref.ok() &&
-                         SamePlacement(*serial_ref, *parallel_ref);
-    if (serial_ref.ok()) {
-      core::RecycleVmBuffer(std::move(serial_ref->vm_machine));
-    }
-    if (parallel_ref.ok()) {
-      core::RecycleVmBuffer(std::move(parallel_ref->vm_machine));
-    }
-  }
-  const double par_start = Now();
-  for (int64_t i = 0; i < alloc_iters; ++i) {
-    auto result =
-        parallel_alloc.Allocate(request, manager.ledger(), manager.slots());
-    if (result.ok()) core::RecycleVmBuffer(std::move(result->vm_machine));
-  }
-  const double par_seconds = Now() - par_start;
-  const double par_calls_per_sec =
-      par_seconds > 0 ? alloc_iters / par_seconds : 0.0;
-  std::printf(
-      "allocate: %.0f calls/s  (level-parallel, %d threads)  identical %s\n",
-      par_calls_per_sec, alloc_pool.num_threads(),
-      parallel_identical ? "yes" : "NO");
-
   // --- Hetero allocators: admit throughput on a fabric sized to their ----
   // complexity (the heuristic is O(|V| * Delta * N^4), the exact DP
   // O(|V| * Delta * 3^N); paper-scale fabrics are not where they run).
@@ -475,9 +415,8 @@ int main(int argc, char** argv) {
   // regime where an online control plane needs admission throughput.
   // Everything admitted is released at the end of its round, so every
   // round (and every worker count) starts from the same books.  The
-  // deterministic discipline makes the decision sequence a hard gate: any
-  // worker count must reproduce the serial verdicts and placements
-  // exactly.
+  // decision sequence is a hard gate: any worker count must reproduce the
+  // serial verdicts and placements exactly.
   // With --decisions (the default) the admission and sharded benches run
   // with decision provenance armed, so their throughput records — and the
   // CI speedup gates downstream of them — include the per-outcome logging
@@ -565,11 +504,10 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf(
       "admission: %.0f req/s serial  %.0f req/s (%d workers)  speedup %.2fx  "
-      "conflicts %lld retries %lld fallbacks %lld  identical %s\n",
+      "conflicts %lld fallbacks %lld  identical %s\n",
       admit_serial_rate, admit_parallel_rate,
       static_cast<int>(pipeline_workers), admit_speedup,
       static_cast<long long>(admit_parallel.stats.conflicts),
-      static_cast<long long>(admit_parallel.stats.retries),
       static_cast<long long>(admit_parallel.stats.fallbacks),
       admission_identical ? "yes" : "NO");
 
@@ -605,8 +543,7 @@ int main(int argc, char** argv) {
   // slots plus headroom on every machine.  At the default 10^5 tenants this
   // reproduces the PR-6 shape exactly (4 slots, 1 Gbps); --shard-tenants
   // 1000000 deepens the fabric to ~22 slots/machine instead of growing it
-  // wider, so the per-shard row volume — what placement and first-touch
-  // re-homing act on — is what scales.
+  // wider, so the per-shard row volume is what scales.
   const int64_t shard_machines =
       shard_racks * sharded_config.machines_per_rack;
   const int preload_passes = static_cast<int>(
@@ -676,10 +613,8 @@ int main(int argc, char** argv) {
     double max_occupancy = 0;
     core::PipelineStats stats;
     std::vector<int64_t> histogram;
-    std::vector<core::AdmissionPipeline::WorkerPlacement> placements;
   };
-  auto run_sharded = [&](int workers, int shards,
-                         util::PlacementPolicy policy) {
+  auto run_sharded = [&](int workers, int shards) {
     ShardedOutcome outcome;
     core::NetworkManager sharded_manager(sharded_topo, common.epsilon());
     core::PipelineConfig pipeline_config;
@@ -690,11 +625,8 @@ int main(int argc, char** argv) {
     // shard-freshness fast path to hold.
     pipeline_config.queue_capacity = 1;
     pipeline_config.shards = shards;
-    pipeline_config.placement = policy;
-    pipeline_config.topology = &host_topo;
     core::AdmissionPipeline pipeline(sharded_manager, pipeline_config);
     outcome.shards = shards > 0 ? sharded_manager.num_shards() : 0;
-    outcome.placements = pipeline.placement_map();
     // Pre-load: rack-local 2-VM tenants committed directly (no allocator
     // search), two per machine pair per pass — identical books for every
     // (worker, shard) configuration.
@@ -737,14 +669,11 @@ int main(int argc, char** argv) {
     outcome.max_occupancy = sharded_manager.MaxOccupancy();
     return outcome;
   };
-  // The serial baseline always runs unpinned: the identity gate below then
-  // doubles as the pinning-on-vs-off bit-identity check.
-  const ShardedOutcome sharded_serial =
-      run_sharded(1, 0, util::PlacementPolicy::kNone);
+  const ShardedOutcome sharded_serial = run_sharded(1, 0);
   // Two speculation workers move the stream; the per-shard commit workers
   // and the O(V / shards) snapshot re-captures are what scales.
   const ShardedOutcome sharded =
-      run_sharded(2, static_cast<int>(admit_shards), placement_policy);
+      run_sharded(2, static_cast<int>(admit_shards));
   const bool sharded_identical =
       sharded.verdicts == sharded_serial.verdicts &&
       sharded.roots == sharded_serial.roots &&
@@ -764,21 +693,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(sharded.stats.cross_shard_commits),
       static_cast<long long>(sharded.stats.shard_conflicts),
       sharded_identical ? "yes" : "NO");
-  // The resolved placement map, one line per worker: flight-recorder
-  // bundles and bench snapshots reference these to explain
-  // placement-dependent latency outliers.
-  std::printf("placement: %s on %s\n",
-              util::PlacementPolicyName(placement_policy),
-              host_topo.Summary().c_str());
-  for (const core::AdmissionPipeline::WorkerPlacement& p :
-       sharded.placements) {
-    if (p.cpu >= 0) {
-      std::printf("placement: %s %d -> cpu %d (node %d)\n", p.role, p.index,
-                  p.cpu, p.node);
-    } else {
-      std::printf("placement: %s %d -> unpinned\n", p.role, p.index);
-    }
-  }
+  std::printf("host:     %s\n", host.summary.c_str());
   if (decisions_on != 0) {
     obs::SetDecisionsEnabled(false);
     std::printf("decisions: %llu records logged (ring keeps last %zu/thread)\n",
@@ -798,34 +713,13 @@ int main(int argc, char** argv) {
   w.Member("hardware_threads", util::ThreadPool::HardwareThreads());
   w.Member("threads", common.threads());
   // Topology header: bench_diff warns when two snapshots were taken on
-  // machines with different shapes, since placement-sensitive numbers are
-  // not comparable across them.
+  // differently shaped hosts, since their numbers are not comparable.
   w.Key("topology");
   w.BeginObject();
-  w.Member("packages", static_cast<int64_t>(host_topo.num_packages()));
-  w.Member("nodes", static_cast<int64_t>(host_topo.num_nodes()));
-  w.Member("cores", static_cast<int64_t>(host_topo.num_cores()));
-  w.Member("cpus", static_cast<int64_t>(host_topo.num_cpus()));
-  w.Member("detected", host_topo.detected());
-  w.Member("summary", host_topo.Summary());
+  w.Member("nodes", static_cast<int64_t>(host.nodes));
+  w.Member("cpus", static_cast<int64_t>(host.cpus));
+  w.Member("summary", host.summary);
   w.EndObject();
-  w.Key("placement");
-  w.BeginObject();
-  w.Member("policy", std::string(util::PlacementPolicyName(placement_policy)));
-  w.Key("workers");
-  w.BeginArray();
-  for (const core::AdmissionPipeline::WorkerPlacement& p :
-       sharded.placements) {
-    w.BeginObject();
-    w.Member("role", std::string(p.role));
-    w.Member("index", static_cast<int64_t>(p.index));
-    w.Member("cpu", static_cast<int64_t>(p.cpu));
-    w.Member("node", static_cast<int64_t>(p.node));
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  w.Member("parallel_alloc_identical", parallel_identical);
   w.Member("admission_identical", admission_identical);
   w.Member("sharded_identical", sharded_identical);
   w.Key("sweep");
@@ -854,10 +748,6 @@ int main(int argc, char** argv) {
                      0.0,
                      {{"calls_per_sec", obs_calls_per_sec},
                       {"allocs_per_call", obs_allocs_per_call}}});
-  records.push_back({"allocate_steady_parallel", alloc_iters,
-                     par_calls_per_sec > 0 ? 1e9 / par_calls_per_sec : 0.0,
-                     0.0,
-                     {{"calls_per_sec", par_calls_per_sec}}});
   records.push_back({"allocate_hetero_heuristic", hetero_iters,
                      heuristic_calls_per_sec > 0
                          ? 1e9 / heuristic_calls_per_sec
@@ -881,7 +771,6 @@ int main(int argc, char** argv) {
         {"workers", static_cast<double>(pipeline_workers)},
         {"admitted", static_cast<double>(admit_parallel.admitted)},
         {"conflicts", static_cast<double>(admit_parallel.stats.conflicts)},
-        {"retries", static_cast<double>(admit_parallel.stats.retries)},
         {"fallbacks", static_cast<double>(admit_parallel.stats.fallbacks)}}});
   {
     // Satellite schema note: same BenchRecord shape as every PR 3-5 record —
@@ -942,11 +831,8 @@ int main(int argc, char** argv) {
   if (!bench::WriteFile(out, w.str() + "\n")) return 1;
   std::printf("wrote %s\n", out.c_str());
 
-  // Non-zero exit if the parallel sweep, the level-parallel allocator, the
-  // multi-worker admission pipeline, or the sharded commit plane diverged
-  // from serial — the suite's hard correctness gates.
-  return identical && parallel_identical && admission_identical &&
-                 sharded_identical
-             ? 0
-             : 2;
+  // Non-zero exit if the parallel sweep, the multi-worker admission
+  // pipeline, or the sharded commit plane diverged from serial — the
+  // suite's hard correctness gates.
+  return identical && admission_identical && sharded_identical ? 0 : 2;
 }

@@ -1,6 +1,7 @@
 #include "cli/interpreter.h"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "svc/allocator_registry.h"
 #include "svc/snapshot.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace svc::cli {
 namespace {
@@ -45,6 +47,19 @@ bool ParseInt(const std::string& text, int64_t& value) {
   } catch (const std::exception&) {
     return false;
   }
+}
+
+// A tenant's VM count: core::Request stores it as an int, so a count
+// outside [1, INT_MAX] is a usage error rather than a silently truncated
+// tenant.
+bool ParseVmCount(const std::string& text, int& value) {
+  int64_t wide = 0;
+  if (!ParseInt(text, wide) || wide < 1 ||
+      wide > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  value = static_cast<int>(wide);
+  return true;
 }
 
 }  // namespace
@@ -85,24 +100,24 @@ bool Interpreter::CmdAdmit(const std::vector<std::string>& args,
   const std::string& kind = args[2];
   std::unique_ptr<core::Request> request;
   if (kind == "homogeneous" && args.size() == 6) {
-    int64_t n;
+    int n;
     double mu, sigma;
-    if (!ParseInt(args[3], n) || !ParseDouble(args[4], mu) ||
-        !ParseDouble(args[5], sigma) || n < 1) {
+    if (!ParseVmCount(args[3], n) || !ParseDouble(args[4], mu) ||
+        !ParseDouble(args[5], sigma)) {
       out << "error: admit homogeneous <n> <mu> <sigma>\n";
       return false;
     }
     request = std::make_unique<core::Request>(
-        core::Request::Homogeneous(id, static_cast<int>(n), mu, sigma));
+        core::Request::Homogeneous(id, n, mu, sigma));
   } else if (kind == "deterministic" && args.size() == 5) {
-    int64_t n;
+    int n;
     double bandwidth;
-    if (!ParseInt(args[3], n) || !ParseDouble(args[4], bandwidth) || n < 1) {
+    if (!ParseVmCount(args[3], n) || !ParseDouble(args[4], bandwidth)) {
       out << "error: admit deterministic <n> <B>\n";
       return false;
     }
     request = std::make_unique<core::Request>(
-        core::Request::Deterministic(id, static_cast<int>(n), bandwidth));
+        core::Request::Deterministic(id, n, bandwidth));
   } else if (kind == "heterogeneous" && args.size() >= 4) {
     std::vector<stats::Normal> demands;
     for (size_t i = 3; i < args.size(); ++i) {
@@ -144,9 +159,16 @@ bool Interpreter::CmdBatch(const std::vector<std::string>& args,
     out << kUsage;
     return false;
   }
+  // The bounds run before any allocation or thread start: the command
+  // arrives from svcd clients, so a hostile count, worker number or id
+  // range must fail cleanly rather than reserve memory, spawn threads or
+  // overflow the ids.
   int64_t workers = 0, count = 0, first_id = 0;
   if (!ParseInt(args[1], workers) || !ParseInt(args[2], count) ||
-      !ParseInt(args[3], first_id) || workers < 1 || count < 1) {
+      !ParseInt(args[3], first_id) || workers < 1 || count < 1 ||
+      workers > util::ThreadPool::HardwareThreads() ||
+      count > manager_.topo().total_slots() ||
+      first_id > std::numeric_limits<int64_t>::max() - (count - 1)) {
     out << kUsage;
     return false;
   }
@@ -154,27 +176,27 @@ bool Interpreter::CmdBatch(const std::vector<std::string>& args,
   std::vector<core::Request> requests;
   requests.reserve(count);
   if (kind == "homogeneous" && args.size() == 8) {
-    int64_t n;
+    int n;
     double mu, sigma;
-    if (!ParseInt(args[5], n) || !ParseDouble(args[6], mu) ||
-        !ParseDouble(args[7], sigma) || n < 1) {
+    if (!ParseVmCount(args[5], n) || !ParseDouble(args[6], mu) ||
+        !ParseDouble(args[7], sigma)) {
       out << kUsage;
       return false;
     }
     for (int64_t i = 0; i < count; ++i) {
-      requests.push_back(core::Request::Homogeneous(
-          first_id + i, static_cast<int>(n), mu, sigma));
+      requests.push_back(
+          core::Request::Homogeneous(first_id + i, n, mu, sigma));
     }
   } else if (kind == "deterministic" && args.size() == 7) {
-    int64_t n;
+    int n;
     double bandwidth;
-    if (!ParseInt(args[5], n) || !ParseDouble(args[6], bandwidth) || n < 1) {
+    if (!ParseVmCount(args[5], n) || !ParseDouble(args[6], bandwidth)) {
       out << kUsage;
       return false;
     }
     for (int64_t i = 0; i < count; ++i) {
-      requests.push_back(core::Request::Deterministic(
-          first_id + i, static_cast<int>(n), bandwidth));
+      requests.push_back(
+          core::Request::Deterministic(first_id + i, n, bandwidth));
     }
   } else {
     out << kUsage;
@@ -193,8 +215,8 @@ bool Interpreter::CmdBatch(const std::vector<std::string>& args,
   const core::PipelineStats& stats = pipeline.stats();
   out << "batch: " << admitted << " admitted, "
       << (count - admitted) << " rejected (proposed " << stats.proposed
-      << ", conflicts " << stats.conflicts << ", retries " << stats.retries
-      << ", fallbacks " << stats.fallbacks << ")\n";
+      << ", conflicts " << stats.conflicts << ", fallbacks "
+      << stats.fallbacks << ")\n";
   return true;
 }
 
@@ -529,17 +551,18 @@ bool Interpreter::CmdHealth(const std::vector<std::string>& args,
     out << "error: health takes no arguments\n";
     return false;
   }
+  const bool valid = manager_.StateValid();
   out << "health: " << manager_.live_count() << " tenant(s) live, "
       << manager_.slots().total_free() << "/" << manager_.topo().total_slots()
       << " slots free, max-occupancy " << manager_.MaxOccupancy()
       << ", faults " << manager_.Faults().size() << ", decisions "
       << obs::DecisionCount() << ", flight-bundles "
       << obs::FlightRecorder::Global().bundles_written() << ", state "
-      << (manager_.StateValid() ? "valid" : "INVALID") << "\n";
+      << (valid ? "valid" : "INVALID") << "\n";
   // Prometheus-style exposition of everything the session recorded so far
   // (metrics registry including the per-shard pipeline gauges).
   if (obs::MetricsEnabled()) out << obs::ExportPrometheus();
-  return manager_.StateValid();
+  return valid;
 }
 
 bool Interpreter::CmdTail(const std::vector<std::string>& args,

@@ -10,6 +10,8 @@
 //                                       #   <kind args>: admit `count`
 //                                       #   identical tenants through the
 //                                       #   concurrent admission pipeline
+//                                       #   (workers <= hardware threads,
+//                                       #   count <= the fabric's slots)
 //   release 1
 //   show slots                          # free/total VM slots
 //   show occupancy [k]                  # k worst links (default 5)

@@ -72,109 +72,11 @@ void AccumulateDomain(std::vector<BackupDomainSums>& sums,
 
 LinkLedger::LinkLedger(const topology::Topology& topo, double epsilon)
     : topo_(&topo), epsilon_(epsilon), c_(GuaranteeQuantile(epsilon)),
-      touched_(1) {
+      rows_(topo.num_vertices()), touched_(1) {
   assert(topo.finalized());
-  links_.resize(topo.num_vertices());
-  rows_ = links_.data();
-  num_rows_ = links_.size();
   for (topology::VertexId v = 1; v < topo.num_vertices(); ++v) {
     rows_[v].capacity = topo.uplink_capacity(v);
   }
-}
-
-LinkLedger::~LinkLedger() { DestroyRehomedRows(); }
-
-void LinkLedger::DestroyRehomedRows() {
-  if (!rehomed_) return;
-  for (size_t v = 0; v < num_rows_; ++v) rows_[v].~LinkState();
-}
-
-LinkLedger::LinkLedger(const LinkLedger& other)
-    : topo_(other.topo_), epsilon_(other.epsilon_), c_(other.c_),
-      shards_(other.shards_), touched_(other.touched_) {
-  links_.assign(other.rows_, other.rows_ + other.num_rows_);
-  rows_ = links_.data();
-  num_rows_ = links_.size();
-}
-
-LinkLedger& LinkLedger::operator=(const LinkLedger& other) {
-  if (this == &other) return *this;
-  DestroyRehomedRows();
-  rehomed_.Reset();
-  topo_ = other.topo_;
-  epsilon_ = other.epsilon_;
-  c_ = other.c_;
-  shards_ = other.shards_;
-  touched_ = other.touched_;
-  links_.assign(other.rows_, other.rows_ + other.num_rows_);
-  rows_ = links_.data();
-  num_rows_ = links_.size();
-  return *this;
-}
-
-LinkLedger::LinkLedger(LinkLedger&& other) noexcept
-    : topo_(other.topo_), epsilon_(other.epsilon_), c_(other.c_),
-      shards_(other.shards_), links_(std::move(other.links_)),
-      rehomed_(std::move(other.rehomed_)), rows_(other.rows_),
-      num_rows_(other.num_rows_), touched_(std::move(other.touched_)) {
-  // rows_ stays valid across the move: a vector move keeps its heap block
-  // and a FirstTouchBuffer move keeps its mapping.
-  other.rows_ = nullptr;
-  other.num_rows_ = 0;
-}
-
-LinkLedger& LinkLedger::operator=(LinkLedger&& other) noexcept {
-  if (this == &other) return *this;
-  DestroyRehomedRows();
-  topo_ = other.topo_;
-  epsilon_ = other.epsilon_;
-  c_ = other.c_;
-  shards_ = other.shards_;
-  links_ = std::move(other.links_);
-  rehomed_ = std::move(other.rehomed_);
-  rows_ = other.rows_;
-  num_rows_ = other.num_rows_;
-  touched_ = std::move(other.touched_);
-  other.rows_ = nullptr;
-  other.num_rows_ = 0;
-  return *this;
-}
-
-void LinkLedger::RehomeRows(const RowToucher& touch) {
-  util::FirstTouchBuffer fresh(num_rows_ * sizeof(LinkState));
-  LinkState* dst = static_cast<LinkState*>(fresh.data());
-  LinkState* src = rows_;
-  // Bucket by bucket, the owning worker faults the bucket's pages in by
-  // move-constructing its rows (touch runs init on that worker and waits).
-  // Bucket row ranges are contiguous-ish by construction (ShardMap groups
-  // each aggregation subtree's vertex-id range), so per-bucket touches
-  // mostly fault whole pages, not interleaved cache lines.
-  std::vector<char> moved(num_rows_, 0);
-  if (shards_ != nullptr) {
-    for (int b = 0; b < shards_->bucket_count(); ++b) {
-      const std::vector<topology::VertexId>& links = shards_->links_in_bucket(b);
-      touch(b, [&] {
-        for (topology::VertexId v : links) {
-          ::new (dst + v) LinkState(std::move(src[v]));
-          moved[v] = 1;
-        }
-      });
-    }
-  }
-  // Rows no bucket owns — the root row, every row when unsharded — belong
-  // to the calling (sequencer) thread.
-  for (size_t v = 0; v < num_rows_; ++v) {
-    if (!moved[v]) ::new (dst + v) LinkState(std::move(src[v]));
-  }
-  // Swap the new storage in and dispose of the moved-from husks.
-  if (rehomed_) {
-    for (size_t v = 0; v < num_rows_; ++v) src[v].~LinkState();
-  } else {
-    links_.clear();
-    links_.shrink_to_fit();
-  }
-  rehomed_ = std::move(fresh);
-  rows_ = dst;
 }
 
 void LinkLedger::SetShardMap(const ShardMap* shards) {
@@ -490,10 +392,10 @@ void LinkLedger::RebuildSums(topology::VertexId v) {
 
 void LinkLedger::AssignAggregatesFrom(const LinkLedger& other) {
   assert(topo_ == other.topo_);
-  assert(num_rows_ == other.num_rows_);
+  assert(rows_.size() == other.rows_.size());
   epsilon_ = other.epsilon_;
   c_ = other.c_;
-  for (size_t v = 0; v < num_rows_; ++v) {
+  for (size_t v = 0; v < rows_.size(); ++v) {
     LinkState& dst = rows_[v];
     const LinkState& src = other.rows_[v];
     dst.capacity = src.capacity;
@@ -607,7 +509,7 @@ void LinkLedger::RemoveRecords(RequestId req,
 
 size_t LinkLedger::TotalRecords() const {
   size_t total = 0;
-  for (size_t v = 0; v < num_rows_; ++v) {
+  for (size_t v = 0; v < rows_.size(); ++v) {
     total += rows_[v].stochastic.size() + rows_[v].reserved.size() +
              rows_[v].backup.size();
   }

@@ -83,8 +83,8 @@ enum class CommitPath : uint8_t {
   kShardFresh = 2,       // pipeline: stale but shard-freshness lemma held
   kShardDispatch = 3,    // pipeline: fresh single-shard, applied by worker
   kStaleRerun = 4,       // pipeline: stale admit, drained serial re-run
-  kOptimistic = 5,       // optimistic discipline, first-attempt commit
-  kOptimisticRetry = 6,  // optimistic discipline, committed after retries
+  // 5 and 6 are retired (a removed commit discipline); the numbers of
+  // the remaining paths stay stable.
   kFaultEvict = 7,       // fault plane: recovery failed, tenant evicted
 };
 

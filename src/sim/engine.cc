@@ -30,9 +30,7 @@ Engine::Engine(const topology::Topology& topo, SimConfig config)
   if (config_.admission_workers > 1) {
     core::PipelineConfig pipeline;
     pipeline.workers = config_.admission_workers;
-    pipeline.deterministic = true;  // bit-identical to the serial path
     pipeline.shards = config_.admission_shards;
-    pipeline.placement = config_.placement;
     pipeline_ =
         std::make_unique<core::AdmissionPipeline>(manager_, pipeline);
   }

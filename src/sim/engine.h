@@ -88,9 +88,6 @@ struct SimConfig {
   // the manager and runs per-shard commit workers when admission_workers
   // > 1.  Bit-identical to the serial path for any value.
   int admission_shards = 0;
-  // Worker/shard core-affinity placement for the admission pipeline
-  // (PipelineConfig::placement); kNone leaves the OS scheduler in charge.
-  util::PlacementPolicy placement = util::PlacementPolicy::kNone;
   bool sample_occupancy = true;    // record MaxOccupancy at arrivals
   FlowPattern flow_pattern = FlowPattern::kRandomPermutation;
   // Count bandwidth outages: (link, second) pairs where offered demand

@@ -277,8 +277,6 @@ Status ParseAdmissionSection(const JsonValue& v, const std::string& path,
       if (!ReadInt(val, &out->window)) return Err(path + ".window", "expected integer");
     } else if (key == "lookahead") {
       if (!ReadInt(val, &out->lookahead)) return Err(path + ".lookahead", "expected integer");
-    } else if (key == "placement") {
-      if (!ReadString(val, &out->placement)) return Err(path + ".placement", "expected string");
     } else {
       return Err(path, "unknown key '" + key + "'");
     }
@@ -567,7 +565,6 @@ std::string SerializeScenario(const Scenario& s) {
   w.Member("shards", s.admission.shards);
   w.Member("window", s.admission.window);
   w.Member("lookahead", s.admission.lookahead);
-  w.Member("placement", s.admission.placement);
   w.EndObject();
 
   w.Key("enforcement");
@@ -918,7 +915,6 @@ ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
   config.admission_shards = s.admission.shards;
   config.admission_window = s.admission.window;
   config.admission_lookahead = s.admission.lookahead;
-  util::ParsePlacementPolicy(s.admission.placement, &config.placement);
   config.sample_occupancy = online;
   config.enforcement = resolved.enforcement;
   config.burst_seconds = s.enforcement.burst_seconds;
@@ -1090,11 +1086,6 @@ util::Status ValidateScenario(const Scenario& s) {
   if (adm.shards < 0) return Err("scenario.admission.shards", "must be >= 0");
   if (adm.window < 1) return Err("scenario.admission.window", "must be >= 1");
   if (adm.lookahead < 1) return Err("scenario.admission.lookahead", "must be >= 1");
-  util::PlacementPolicy placement;
-  if (!util::ParsePlacementPolicy(adm.placement, &placement)) {
-    return Err("scenario.admission.placement",
-               "must be none | compact | scatter | shard_node");
-  }
 
   Enforcement enforcement;
   if (!ParseEnforcementToken(s.enforcement.mode, &enforcement)) {

@@ -64,7 +64,6 @@ struct AdmissionPipeline::BatchCtx {
       : pending(pending_capacity),
         done(n),
         proposals(n),
-        attempts(n, 0),
         decided(n),
         apply_ready(n) {}
 
@@ -73,7 +72,6 @@ struct AdmissionPipeline::BatchCtx {
   util::BoundedQueue<size_t> pending;  // indices awaiting speculation
   util::BoundedQueue<size_t> done;     // indices with a parked proposal
   std::vector<AdmissionProposal> proposals;
-  std::vector<int> attempts;  // optimistic re-speculation count per index
   // One publication flag per request, cache-line padded: the sequencer's
   // delivery loop spins on slot i while shard workers release-store
   // neighboring slots — unpadded, every store would invalidate the line
@@ -107,19 +105,7 @@ AdmissionPipeline::AdmissionPipeline(NetworkManager& manager,
   if (config_.queue_capacity <= 0) {
     config_.queue_capacity = 4 * config_.workers;
   }
-  if (config_.max_retries < 0) config_.max_retries = 0;
 
-  if (config_.placement != util::PlacementPolicy::kNone) {
-    if (config_.topology != nullptr) {
-      topo_ = config_.topology;
-    } else {
-      owned_topology_ = util::CpuTopology::Detect();
-      topo_ = &owned_topology_;
-    }
-  }
-
-  // Shard partition first: the commit workers' pin plan is an input to the
-  // speculation pool's plan (it fills the *remaining* cores).
   int num_shards = 0;
   if (config_.shards > 0) {
     auto shards =
@@ -128,96 +114,18 @@ AdmissionPipeline::AdmissionPipeline(NetworkManager& manager,
     manager_.ConfigureSharding(std::move(shards));
     touched_shards_.assign(static_cast<size_t>(num_shards) + 1, 0);
   }
-  const bool sharded_committers =
-      num_shards > 0 && config_.deterministic && config_.workers > 1;
-  std::vector<util::CpuSlot> shard_slots(
-      sharded_committers ? num_shards : 0);
-  if (sharded_committers && topo_ != nullptr) {
-    shard_slots = util::PlanShardCpus(*topo_, config_.placement, num_shards);
-  }
+  if (config_.workers <= 1) return;
 
-  if (config_.workers > 1) {
-    if (config_.pool != nullptr) {
-      pool_ = config_.pool;  // borrowed: never re-pinned (see PipelineConfig)
-    } else {
-      util::ThreadPoolOptions opts;
-      opts.num_threads = config_.workers;
-      // kShardNode is a shard-worker mapping; the speculation pool packs
-      // the cores the shard plan left free.
-      opts.placement = config_.placement == util::PlacementPolicy::kShardNode
-                           ? util::PlacementPolicy::kCompact
-                           : config_.placement;
-      opts.topology = topo_;
-      opts.reserved = shard_slots;
-      owned_pool_ = std::make_unique<util::ThreadPool>(opts);
-      pool_ = owned_pool_.get();
-    }
-  }
-
-  if (sharded_committers) {
-    // The latch holds the constructor until every worker has pinned itself
-    // and prefaulted its queue ring: the pin must precede the prefault (the
-    // ring's pages land on the pinned node) and the prefault must precede
-    // the first Push (a faulted-by-producer page defeats first touch).
-    util::Latch started(num_shards);
-    committers_.reserve(num_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      auto c = std::make_unique<ShardCommitter>(
-          static_cast<size_t>(config_.queue_capacity));
-      c->depth_gauge = "pipeline/shard_depth/" + std::to_string(s);
-      c->node_gauge = "pipeline/worker_node/" + std::to_string(s);
-      c->cpu = shard_slots[s];
-      c->started = &started;
-      c->thread = std::thread([this, committer = c.get()] {
-        CommitterLoop(*committer);
-      });
-      committers_.push_back(std::move(c));
-    }
-    started.Wait();
-
-    // First-touch re-homing: each bucket's ledger rows are move-constructed
-    // into the fresh buffer ON the owning shard worker (a control task),
-    // so the pages land on that worker's node.  Pure storage migration —
-    // decisions cannot depend on it.  Skipped under kNone: without a pin
-    // plan the "owning node" is wherever the OS happens to run things, and
-    // the copy would buy nothing.
-    if (config_.placement != util::PlacementPolicy::kNone) {
-      manager_.RehomeLedgerRows(
-          [this](int bucket, const std::function<void()>& init) {
-            if (bucket < static_cast<int>(committers_.size())) {
-              ShardCommitter& c = *committers_[bucket];
-              util::Latch done(1);
-              CommitTask task;
-              task.fn = [&init, &done] {
-                init();
-                done.CountDown();
-              };
-              ++c.dispatched;
-              const bool pushed = c.queue.Push(std::move(task));
-              assert(pushed && "shard queue closed during re-homing");
-              (void)pushed;
-              done.Wait();
-            } else {
-              // Core-stripe bucket: sequencer-owned, touched right here.
-              init();
-            }
-          });
-    }
-  }
-
-  // Resolved placement map, commit workers first — perf_suite logs this
-  // and embeds it in BENCH_PERF.json.
-  for (size_t s = 0; s < committers_.size(); ++s) {
-    const util::CpuSlot& slot = committers_[s]->cpu;
-    placement_map_.push_back({"shard_commit", static_cast<int>(s), slot.cpu,
-                              slot.cpu >= 0 ? slot.node : -1});
-  }
-  if (pool_ != nullptr) {
-    const std::vector<util::CpuSlot>& plan = pool_->worker_cpus();
-    for (size_t w = 0; w < plan.size(); ++w) {
-      placement_map_.push_back({"speculate", static_cast<int>(w), plan[w].cpu,
-                                plan[w].cpu >= 0 ? plan[w].node : -1});
-    }
+  pool_ = std::make_unique<util::ThreadPool>(config_.workers);
+  committers_.reserve(num_shards);
+  for (int s = 0; s < num_shards; ++s) {
+    auto c = std::make_unique<ShardCommitter>(
+        static_cast<size_t>(config_.queue_capacity));
+    c->depth_gauge = "pipeline/shard_depth/" + std::to_string(s);
+    c->thread = std::thread([this, committer = c.get()] {
+      CommitterLoop(*committer);
+    });
+    committers_.push_back(std::move(c));
   }
 }
 
@@ -316,26 +224,8 @@ void AdmissionPipeline::SpeculateLoop(BatchCtx& ctx) {
 }
 
 void AdmissionPipeline::CommitterLoop(ShardCommitter& committer) {
-  // Pin before prefault: the ring's pages must fault on the target node.
-  // A failed pin (cgroup-restricted cpu, non-Linux) just runs unpinned.
-  if (committer.cpu.cpu >= 0) util::PinCurrentThreadToCpu(committer.cpu.cpu);
-  committer.queue.PrefaultStorage();
-  if (obs::MetricsEnabled()) {
-    obs::Registry::Global().GetGauge(committer.node_gauge)
-        .Set(static_cast<double>(committer.cpu.cpu >= 0 ? committer.cpu.node
-                                                        : -1));
-  }
-  if (committer.started != nullptr) committer.started->CountDown();
   CommitTask task;
   while (committer.queue.Pop(task)) {
-    if (task.fn) {
-      // Control task (first-touch init): run it on this thread and retire
-      // it through the normal progress counter so drains stay uniform.
-      task.fn();
-      task.fn = nullptr;
-      committer.applied.fetch_add(1, std::memory_order_release);
-      continue;
-    }
     const auto start = std::chrono::steady_clock::now();
     util::Result<Placement> r =
         manager_.ApplyShardCommit(*task.request, std::move(task.proposal));
@@ -414,7 +304,7 @@ int AdmissionPipeline::SingleShardOf(uint64_t touched_mask) const {
   return s < static_cast<int>(committers_.size()) ? s : -1;
 }
 
-std::optional<util::Result<Placement>> AdmissionPipeline::FinalizeDeterministic(
+std::optional<util::Result<Placement>> AdmissionPipeline::Finalize(
     const Request& request, const Allocator& allocator,
     AdmissionProposal&& proposal, BatchCtx* ctx, size_t index) {
   const bool fresh = proposal.epoch == manager_.epoch();
@@ -586,8 +476,6 @@ std::vector<util::Result<Placement>> AdmissionPipeline::AdmitBatch(
     bool stop_on_failure, const DecisionFn& on_decision, int window) {
   const size_t n = requests.size();
   if (n == 0) return {};
-  assert((config_.deterministic || !stop_on_failure) &&
-         "stop_on_failure requires the deterministic commit discipline");
   if (config_.workers <= 1 || n == 1) {
     return AdmitSerial(requests, allocator, stop_on_failure, on_decision);
   }
@@ -649,237 +537,111 @@ std::vector<util::Result<Placement>> AdmissionPipeline::AdmitBatch(
   };
 
   feed();
-  if (config_.deterministic) {
-    // How each classified index resolves (sequencer-only).
-    enum : uint8_t {
-      kUnclassified = 0,
-      kInline = 1,     // decided[] set by the sequencer; callback due
-      kDelegated = 2,  // apply in flight; shard worker parks decided[]
-      kSilent = 3,     // not attempted (FIFO abort); no callback
-    };
-    std::vector<uint8_t> route(n, kUnclassified);
-    size_t deliver_cursor = 0;
+  // How each classified index resolves (sequencer-only).
+  enum : uint8_t {
+    kUnclassified = 0,
+    kInline = 1,     // decided[] set by the sequencer; callback due
+    kDelegated = 2,  // apply in flight; shard worker parks decided[]
+    kSilent = 3,     // not attempted (FIFO abort); no callback
+  };
+  std::vector<uint8_t> route(n, kUnclassified);
+  size_t deliver_cursor = 0;
 
-    // In-order decision delivery.  The sequencer may classify (and
-    // dispatch) several requests ahead of the oldest in-flight apply;
-    // callbacks still fire strictly in request order, waiting on the shard
-    // worker only when `block` demands it.
-    auto deliver = [&](bool block) {
-      while (deliver_cursor < n && route[deliver_cursor] != kUnclassified) {
-        const size_t i = deliver_cursor;
-        if (route[i] == kDelegated) {
-          if (!ctx.apply_ready[i].flag.load(std::memory_order_acquire)) {
-            if (!block) return;
-            do {
-              std::this_thread::yield();
-            } while (!ctx.apply_ready[i].flag.load(std::memory_order_acquire));
-          }
-          util::Result<Placement>& r = *ctx.decided[i];
-          if (r.ok()) {
-            ++stats_.committed;
-            SVC_METRIC_INC("admission/committed");
-          } else {
-            // The apply half re-validated bit-identical rows and still
-            // failed: an allocator bug.  Undo the sequencer-side
-            // registration; under FIFO semantics the abort lands here, so
-            // a few already-sequenced successors may have committed.
-            manager_.AbandonShardCommit(requests[i].id());
-            ++stats_.rejected;
-            SVC_LOG(Error) << "shard apply failed for request "
-                           << requests[i].id() << " via " << allocator.name()
-                           << ": " << r.status().message();
-            r = util::Result<Placement>(
-                util::ErrorCode::kFailedPrecondition,
-                std::string(allocator.name()) + ": " + r.status().message());
-            if (stop_on_failure) aborted = true;
-          }
-          manager_.EndProposal();
+  // In-order decision delivery.  The sequencer may classify (and
+  // dispatch) several requests ahead of the oldest in-flight apply;
+  // callbacks still fire strictly in request order, waiting on the shard
+  // worker only when `block` demands it.
+  auto deliver = [&](bool block) {
+    while (deliver_cursor < n && route[deliver_cursor] != kUnclassified) {
+      const size_t i = deliver_cursor;
+      if (route[i] == kDelegated) {
+        if (!ctx.apply_ready[i].flag.load(std::memory_order_acquire)) {
+          if (!block) return;
+          do {
+            std::this_thread::yield();
+          } while (!ctx.apply_ready[i].flag.load(std::memory_order_acquire));
         }
-        if (route[i] != kSilent && on_decision) {
-          on_decision(i, *ctx.decided[i]);
-        }
-        ++deliver_cursor;
-      }
-    };
-
-    std::vector<char> ready(n, 0);
-    size_t commit_cursor = 0;
-    while (commit_cursor < n) {
-      if (commit_cursor >= next_submit) {
-        // The feed stopped on abort before this index was ever speculated
-        // (never registered: no EndProposal due).
-        assert(aborted);
-        ctx.decided[commit_cursor] = NotAttempted();
-        route[commit_cursor] = kSilent;
-        sequenced = ++commit_cursor;
-        deliver(/*block=*/false);
-        continue;
-      }
-      if (!ready[commit_cursor]) {
-        ready[pop_done()] = 1;
-        feed();
-        continue;
-      }
-      if (aborted) {
-        ctx.decided[commit_cursor] = NotAttempted();
-        route[commit_cursor] = kSilent;
-        manager_.EndProposal();
-      } else {
-        std::optional<util::Result<Placement>> r = FinalizeDeterministic(
-            requests[commit_cursor], allocator,
-            std::move(ctx.proposals[commit_cursor]), &ctx, commit_cursor);
-        if (r.has_value()) {
-          if (stop_on_failure && !r->ok()) aborted = true;
-          ctx.decided[commit_cursor] = std::move(*r);
-          route[commit_cursor] = kInline;
-          manager_.EndProposal();
-        } else {
-          route[commit_cursor] = kDelegated;  // EndProposal at delivery
-        }
-      }
-      sequenced = ++commit_cursor;
-      // Cross-window barrier: windows overlap in speculation (the feeder
-      // runs ahead), but the commit plane quiesces — every shard queue
-      // drains, pending decisions deliver, and window N+1's speculations
-      // get window N's final books.
-      if (window > 0 && commit_cursor < n &&
-          commit_cursor % static_cast<size_t>(window) == 0) {
-        DrainShards(~uint64_t{0});
-        deliver(/*block=*/true);
-        RefreshSnapshot();
-      } else {
-        deliver(/*block=*/false);
-      }
-      feed();
-    }
-    DrainShards(~uint64_t{0});
-    deliver(/*block=*/true);
-    assert(deliver_cursor == n);
-  } else {
-    // Optimistic: commit in completion order; validate-or-retry conflicts.
-    size_t finalized = 0;
-    while (finalized < n) {
-      const size_t idx = pop_done();
-      AdmissionProposal& proposal = ctx.proposals[idx];
-      const bool fresh = proposal.epoch == manager_.epoch();
-      // Optimistic mode runs no shard committers: the sequencer is the
-      // only books writer, so decision-record slack reads use the
-      // authoritative ledger directly.
-      const obs::CommitPath opt_path = ctx.attempts[idx] > 0
-                                           ? obs::CommitPath::kOptimisticRetry
-                                           : obs::CommitPath::kOptimistic;
-      const uint32_t epoch_delta =
-          static_cast<uint32_t>(manager_.epoch() - proposal.epoch);
-      if (ctx.decisions) {
-        ctx.stages[idx].sequence_us =
-            MicrosBetween(ctx.spec_end_ns[idx], NowNs());
-      }
-      std::optional<util::Result<Placement>> r;
-      if (proposal.ok) {
-        if (!touched_shards_.empty()) {
-          const uint64_t shard_bits =
-              (uint64_t{1} << (touched_shards_.size() - 1)) - 1;
-          ++touched_shards_[static_cast<size_t>(
-              std::popcount(proposal.touched_mask & shard_bits))];
-        }
-        // Validation runs against the authoritative books either way, so a
-        // stale epoch alone is not a conflict until the re-check fails.
-        const auto start = std::chrono::steady_clock::now();
-        util::Result<Placement> committed =
-            manager_.CommitProposal((*ctx.requests)[idx],
-                                    std::move(proposal));
-        const double commit_us = MicrosSince(start);
-        SVC_METRIC_HIST("admission/commit_latency_us", commit_us);
-        if (committed.ok()) {
-          if (ctx.decisions) {
-            ctx.stages[idx].apply_us = static_cast<float>(commit_us);
-            manager_.RecordAdmissionDecision(
-                (*ctx.requests)[idx], allocator.name(), /*admitted=*/true,
-                "ok", opt_path, /*shard=*/-1, epoch_delta, manager_.ledger(),
-                &proposal.demands, ctx.stages[idx]);
-          }
-          if (obs::FlightRecorder::Global().enabled()) {
-            obs::FlightRecorder::Global().ObserveAdmission(true, commit_us);
-          }
+        util::Result<Placement>& r = *ctx.decided[i];
+        if (r.ok()) {
           ++stats_.committed;
           SVC_METRIC_INC("admission/committed");
-          RefreshSnapshot();
-          r = std::move(committed);
-        } else if (fresh) {
-          if (ctx.decisions) {
-            ctx.stages[idx].apply_us = static_cast<float>(commit_us);
-            manager_.RecordAdmissionDecision(
-                (*ctx.requests)[idx], allocator.name(), /*admitted=*/false,
-                ReasonCode(committed.status().code()), opt_path,
-                /*shard=*/-1, epoch_delta, manager_.ledger(),
-                &proposal.demands, ctx.stages[idx]);
-          }
-          if (obs::FlightRecorder::Global().enabled()) {
-            obs::FlightRecorder::Global().ObserveAdmission(false, commit_us);
-          }
+        } else {
+          // The apply half re-validated bit-identical rows and still
+          // failed: an allocator bug.  Undo the sequencer-side
+          // registration; under FIFO semantics the abort lands here, so
+          // a few already-sequenced successors may have committed.
+          manager_.AbandonShardCommit(requests[i].id());
           ++stats_.rejected;
+          SVC_LOG(Error) << "shard apply failed for request "
+                         << requests[i].id() << " via " << allocator.name()
+                         << ": " << r.status().message();
           r = util::Result<Placement>(
               util::ErrorCode::kFailedPrecondition,
-              std::string(allocator.name()) + ": " +
-                  committed.status().message());
-        } else {
-          ++stats_.conflicts;
-          SVC_METRIC_INC("admission/conflicts");
+              std::string(allocator.name()) + ": " + r.status().message());
+          if (stop_on_failure) aborted = true;
         }
-      } else if (fresh || proposal.rejection_monotone) {
-        // Fresh rejections are authoritative; stale ones are too for a
-        // monotone allocator, because the books only gained tenants since
-        // the snapshot (nothing releases mid-batch).
-        if (ctx.decisions) {
-          manager_.RecordAdmissionDecision(
-              (*ctx.requests)[idx], allocator.name(), /*admitted=*/false,
-              ReasonCode(proposal.status.code()), opt_path, /*shard=*/-1,
-              epoch_delta, manager_.ledger(), nullptr, ctx.stages[idx]);
-        }
-        if (obs::FlightRecorder::Global().enabled()) {
-          obs::FlightRecorder::Global().ObserveAdmission(
-              false, ctx.decisions ? ctx.stages[idx].sequence_us : 0.0);
-        }
-        ++stats_.rejected;
-        r = util::Result<Placement>(proposal.status);
-      } else {
-        // A stale rejection from a greedy allocator: the changed books may
-        // have changed the verdict — treat it as a conflict and
-        // re-speculate.
-        ++stats_.conflicts;
-        SVC_METRIC_INC("admission/conflicts");
+        manager_.EndProposal();
       }
-      if (!r.has_value()) {
-        if (ctx.attempts[idx] < config_.max_retries &&
-            ctx.pending.TryPush(idx)) {
-          ++ctx.attempts[idx];
-          ++stats_.retries;
-          SVC_METRIC_INC("admission/retries");
-          continue;  // still in flight: no EndProposal, not finalized
-        }
-        // Retry budget exhausted (or the queue is saturated): serial
-        // fallback on the commit thread — never worse than the serial path.
-        ++stats_.fallbacks;
-        SVC_METRIC_INC("admission/fallbacks");
-        util::Result<Placement> f = manager_.Admit(
-            (*ctx.requests)[idx], allocator, obs::CommitPath::kStaleRerun);
-        if (f.ok()) {
-          ++stats_.committed;
-          SVC_METRIC_INC("admission/committed");
-          RefreshSnapshot();
-        } else {
-          ++stats_.rejected;
-        }
-        r = std::move(f);
+      if (route[i] != kSilent && on_decision) {
+        on_decision(i, *ctx.decided[i]);
       }
-      manager_.EndProposal();
-      if (on_decision) on_decision(idx, *r);
-      ctx.decided[idx] = std::move(*r);
-      sequenced = ++finalized;
-      feed();
+      ++deliver_cursor;
     }
-  }
+  };
 
+  std::vector<char> ready(n, 0);
+  size_t commit_cursor = 0;
+  while (commit_cursor < n) {
+    if (commit_cursor >= next_submit) {
+      // The feed stopped on abort before this index was ever speculated
+      // (never registered: no EndProposal due).
+      assert(aborted);
+      ctx.decided[commit_cursor] = NotAttempted();
+      route[commit_cursor] = kSilent;
+      sequenced = ++commit_cursor;
+      deliver(/*block=*/false);
+      continue;
+    }
+    if (!ready[commit_cursor]) {
+      ready[pop_done()] = 1;
+      feed();
+      continue;
+    }
+    if (aborted) {
+      ctx.decided[commit_cursor] = NotAttempted();
+      route[commit_cursor] = kSilent;
+      manager_.EndProposal();
+    } else {
+      std::optional<util::Result<Placement>> r = Finalize(
+          requests[commit_cursor], allocator,
+          std::move(ctx.proposals[commit_cursor]), &ctx, commit_cursor);
+      if (r.has_value()) {
+        if (stop_on_failure && !r->ok()) aborted = true;
+        ctx.decided[commit_cursor] = std::move(*r);
+        route[commit_cursor] = kInline;
+        manager_.EndProposal();
+      } else {
+        route[commit_cursor] = kDelegated;  // EndProposal at delivery
+      }
+    }
+    sequenced = ++commit_cursor;
+    // Cross-window barrier: windows overlap in speculation (the feeder
+    // runs ahead), but the commit plane quiesces — every shard queue
+    // drains, pending decisions deliver, and window N+1's speculations
+    // get window N's final books.
+    if (window > 0 && commit_cursor < n &&
+        commit_cursor % static_cast<size_t>(window) == 0) {
+      DrainShards(~uint64_t{0});
+      deliver(/*block=*/true);
+      RefreshSnapshot();
+    } else {
+      deliver(/*block=*/false);
+    }
+    feed();
+  }
+  DrainShards(~uint64_t{0});
+  deliver(/*block=*/true);
+  assert(deliver_cursor == n);
   ctx.pending.Close();
   latch.Wait();
   SVC_METRIC_GAUGE_SET("pipeline/depth", 0.0);

@@ -14,10 +14,10 @@
 //                  commit worker (NetworkManager::ApplyShardCommit), so
 //                  commits into different top-level subtrees overlap.
 //
-// Sharded commit discipline (PipelineConfig::shards > 0, deterministic
-// mode): the constructor partitions the fabric at the aggregation level
-// (net::ShardMap) and starts one commit worker per shard.  The sequencer
-// classifies each proposal by its touched-bucket mask:
+// Sharded commit discipline (PipelineConfig::shards > 0): the constructor
+// partitions the fabric at the aggregation level (net::ShardMap) and
+// starts one commit worker per shard.  The sequencer classifies each
+// proposal by its touched-bucket mask:
 //
 //   * single-shard, strictly fresh — PrepareShardCommit on the sequencer
 //     (duplicate/shape check, live registration, epoch bump: the commit's
@@ -47,7 +47,7 @@
 // batch end is always a full barrier: on return no proposal is in flight
 // and every shard queue is empty (snapshots and faults are safe again).
 //
-// Obs: admission/{proposed,committed,conflicts,retries,fallbacks,
+// Obs: admission/{proposed,committed,conflicts,fallbacks,
 // shard_conflicts,cross_shard_commits} counters, the pipeline/depth and
 // per-shard pipeline/shard_depth/<s> gauges, and the
 // admission/commit_latency_us histogram.
@@ -64,9 +64,7 @@
 #include <vector>
 
 #include "svc/manager.h"
-#include "util/affinity.h"
 #include "util/bounded_queue.h"
-#include "util/cpu_topology.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -75,41 +73,22 @@ namespace svc::core {
 struct PipelineConfig {
   int workers = 0;         // speculation threads; 0 = hardware concurrency
   int queue_capacity = 0;  // pending-queue bound; 0 = 4 * workers
-  int max_retries = 3;     // optimistic re-speculations before serial fallback
-  bool deterministic = true;
   // Aggregation-level commit shards: 0 leaves the manager unsharded (the
-  // PR-5 single-committer pipeline); >= 1 installs a net::ShardMap on the
-  // manager (clamped to the root's child count) and, under the
-  // deterministic discipline with workers > 1, starts one commit worker
-  // per shard.  1 is a valid degenerate point — one shard plus the core
-  // stripe — and is the baseline the shard-scaling bench compares against.
+  // single-committer pipeline); >= 1 installs a net::ShardMap on the
+  // manager (clamped to the root's child count) and, with workers > 1,
+  // starts one commit worker per shard.  1 is a valid degenerate point —
+  // one shard plus the core stripe — and is the baseline the shard-scaling
+  // bench compares against.
   int shards = 0;
-  // Borrowed pool to speculate on; the pipeline owns a private one if null.
-  util::ThreadPool* pool = nullptr;
-  // Topology-aware placement (docs/PERFORMANCE.md §7).  kShardNode pins
-  // shard commit worker s to a core on node (s % nodes), first-touch
-  // re-homes the ledger so that node owns bucket s's rows, and spreads the
-  // speculation workers over the remaining cores; kCompact/kScatter apply
-  // the same general policy to commit and speculation workers alike.
-  // Placement never changes decisions — plans are deterministic and the
-  // commit discipline is placement-oblivious — and degrades to kNone
-  // behavior (no pinning, no re-homing effect) on single-cpu or
-  // single-node hosts.  A borrowed `pool` is never re-pinned; only the
-  // pipeline's own workers participate.
-  util::PlacementPolicy placement = util::PlacementPolicy::kNone;
-  // Borrowed; must outlive the constructor.  nullptr + a non-kNone
-  // placement detects the host topology.
-  const util::CpuTopology* topology = nullptr;
 };
 
 // Cumulative across AdmitBatch calls; owned by the commit thread (read it
 // only between batches).
 struct PipelineStats {
-  int64_t proposed = 0;    // speculation runs (includes retries)
+  int64_t proposed = 0;    // speculation runs
   int64_t committed = 0;   // admissions committed to the books
   int64_t rejected = 0;    // final negative decisions
   int64_t conflicts = 0;   // proposals invalidated by a concurrent commit
-  int64_t retries = 0;     // optimistic re-speculations after a conflict
   int64_t fallbacks = 0;   // serial re-runs on the commit thread
   int64_t shard_commits = 0;       // applies dispatched to shard workers
   int64_t shard_conflicts = 0;     // admits that failed the shard-fresh check
@@ -126,33 +105,14 @@ class AdmissionPipeline {
   AdmissionPipeline& operator=(const AdmissionPipeline&) = delete;
 
   int workers() const { return config_.workers; }
-  bool deterministic() const { return config_.deterministic; }
   // Shard commit workers actually running (0 = unsharded single committer).
   int shard_workers() const { return static_cast<int>(committers_.size()); }
 
-  // One resolved worker pin, for logs and bench snapshots (so
-  // placement-dependent latency outliers can be explained post hoc).
-  struct WorkerPlacement {
-    const char* role;  // "shard_commit" | "speculate"
-    int index;         // shard id, or pool worker id
-    int cpu;           // -1 = unpinned
-    int node;          // -1 when unpinned
-  };
-  // The resolved placement map: shard commit workers first, then the
-  // speculation pool's workers.  Stable for the pipeline's lifetime; empty
-  // under the serial degenerate config.
-  const std::vector<WorkerPlacement>& placement_map() const {
-    return placement_map_;
-  }
-  util::PlacementPolicy placement() const { return config_.placement; }
-  // The topology the plan was computed from (nullptr under kNone).
-  const util::CpuTopology* topology() const { return topo_; }
-
   // Decision observer: runs on the calling thread with a mutable reference
   // to the request's decision (the engine moves the placement out to
-  // register flows).  Under the deterministic discipline invocations are in
-  // request order — delivery may lag the sequencer while a shard worker's
-  // apply is in flight, but never reorders.
+  // register flows).  Invocations are in request order — delivery may lag
+  // the sequencer while a shard worker's apply is in flight, but never
+  // reorders.
   using DecisionFn = std::function<void(size_t, util::Result<Placement>&)>;
 
   // Runs the batch through the pipeline; returns one decision per request,
@@ -160,12 +120,12 @@ class AdmissionPipeline {
   // in-flight proposals, all shard queues empty — snapshots and faults are
   // safe again).
   //
-  // `stop_on_failure` models strict-FIFO admission (deterministic
-  // discipline only): after the first failed request no later request is
-  // committed; their slots report kFailedPrecondition "not attempted" and
-  // `on_decision` is not called for them.  (A shard-worker apply failure —
-  // an allocator bug, never a scheduling artifact — aborts at delivery
-  // time, so a few already-sequenced successors may still have committed.)
+  // `stop_on_failure` models strict-FIFO admission: after the first failed
+  // request no later request is committed; their slots report
+  // kFailedPrecondition "not attempted" and `on_decision` is not called
+  // for them.  (A shard-worker apply failure — an allocator bug, never a
+  // scheduling artifact — aborts at delivery time, so a few
+  // already-sequenced successors may still have committed.)
   //
   // `window` > 0 inserts a cross-window barrier every `window` requests:
   // shard queues drain, pending decisions deliver, and the snapshot is
@@ -203,11 +163,6 @@ class AdmissionPipeline {
     obs::CommitPath path = obs::CommitPath::kShardDispatch;
     uint32_t epoch_delta = 0;
     obs::DecisionRecord::StageLatencies stages;
-    // Control task: when set, the worker runs `fn` instead of an apply and
-    // retires it through the same dispatched/applied accounting, so the
-    // drain protocol needs no special case.  Used for the first-touch
-    // re-homing inits, which must execute on the owning worker's thread.
-    std::function<void()> fn;
   };
 
   // Per-shard commit worker: a FIFO queue (so per-shard apply order equals
@@ -219,10 +174,6 @@ class AdmissionPipeline {
     util::BoundedQueue<CommitTask> queue;
     std::thread thread;
     std::string depth_gauge;  // cached "pipeline/shard_depth/<s>"
-    std::string node_gauge;   // cached "pipeline/worker_node/<s>"
-    util::CpuSlot cpu;        // planned pin (cpu -1: run unpinned)
-    util::Latch* started = nullptr;  // ctor-stack latch; signaled once after
-                                     // pin + ring prefault, before first Pop
     int64_t dispatched = 0;
     // False-sharing constraint: the sequencer spins on `applied` while the
     // worker bumps it after every apply, and `dispatched` above is written
@@ -266,10 +217,10 @@ class AdmissionPipeline {
   util::Result<Placement> SerialRerun(const Request& request,
                                       const Allocator& allocator);
 
-  // Finalizes one proposal under the deterministic discipline.  Returns
+  // Finalizes one proposal in request order.  Returns
   // the decision, or nullopt when the apply half was dispatched to a shard
   // worker (the decision is delivered later, in request order).
-  std::optional<util::Result<Placement>> FinalizeDeterministic(
+  std::optional<util::Result<Placement>> Finalize(
       const Request& request, const Allocator& allocator,
       AdmissionProposal&& proposal, BatchCtx* ctx, size_t index);
 
@@ -278,13 +229,7 @@ class AdmissionPipeline {
 
   NetworkManager& manager_;
   PipelineConfig config_;
-  // The topology driving the placement plan: config_.topology, or a
-  // detection owned here.  nullptr under kNone (no plan, no pinning).
-  util::CpuTopology owned_topology_;
-  const util::CpuTopology* topo_ = nullptr;
-  std::vector<WorkerPlacement> placement_map_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_ = nullptr;
+  std::unique_ptr<util::ThreadPool> pool_;  // null when workers <= 1
 
   // Shard commit workers (empty = unsharded / serial-commit pipeline).
   std::vector<std::unique_ptr<ShardCommitter>> committers_;

@@ -1,7 +1,6 @@
 #include "svc/homogeneous_search.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -13,7 +12,6 @@
 #include "svc/demand_profile.h"
 #include "svc/scratch_arena.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace svc::core {
 namespace {
@@ -43,11 +41,7 @@ constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 // branchless fold kernel and records no per-cell winners.
 //
 // The arena is thread-local so one allocator instance can serve concurrent
-// sweep-runner replicas without sharing mutable state.  In level-parallel
-// mode the shared tables (opt / opt_len / opt_lo / opt_hi) live in the
-// calling thread's arena — workers write disjoint rows — while each
-// worker folds in its own thread-local scratch (current / next / row).
-// After the first call on a topology/request-size combination no Allocate()
+// sweep-runner replicas without sharing mutable state.  After the first call on a topology/request-size combination no Allocate()
 // call touches the heap (see bench/alloc_microbench's allocation-counter
 // benchmark).
 struct DpArena {
@@ -64,7 +58,12 @@ struct DpArena {
   int stride = 0;
 
   void Prepare(int num_vertices, int n) {
-    PrepareScratch(n);
+    stride = n + 1;
+    if (current.size() < static_cast<size_t>(stride)) {
+      current.resize(stride);
+      next.resize(stride);
+      row.resize(stride);
+    }
     const size_t cells = static_cast<size_t>(num_vertices) * stride;
     if (opt.size() < cells) opt.resize(cells);
     if (choice.size() < cells) choice.resize(cells);
@@ -75,17 +74,6 @@ struct DpArena {
     }
     std::fill(opt_len.begin(), opt_len.begin() + num_vertices, 0);
     stack.clear();
-  }
-
-  // Sizes only the per-thread fold scratch; what level-parallel workers
-  // need (their shared rows live in the caller's arena).
-  void PrepareScratch(int n) {
-    stride = n + 1;
-    if (current.size() < static_cast<size_t>(stride)) {
-      current.resize(stride);
-      next.resize(stride);
-      row.resize(stride);
-    }
   }
 
   double* opt_row(topology::VertexId v) {
@@ -109,9 +97,8 @@ struct KernelStats {
   int64_t pruned_cells = 0;  // cells resolved without a quantile evaluation
 };
 
-// Everything a per-vertex DP task needs; points into the calling thread's
-// arena.  Immutable during a level's fan-out except for the disjoint rows
-// each vertex writes.
+// Everything a per-vertex DP step needs; points into the calling thread's
+// arena.
 struct DpShared {
   const topology::Topology* topo;
   const net::LinkLedger* ledger;
@@ -357,31 +344,6 @@ void ComputeVertexRow(const DpShared& s, topology::VertexId v,
   s.opt_hi[v] = hi;
 }
 
-// Shared state of one level's parallel fan-out.  Workers claim vertices
-// through the atomic cursor; the submitting thread participates too, so a
-// one-worker pool still makes progress while the caller waits.
-struct LevelJob {
-  const DpShared* shared;
-  const topology::VertexId* vertices;
-  int count;
-  std::atomic<int> cursor{0};
-  std::atomic<int64_t> kernel_cells{0};
-  std::atomic<int64_t> pruned_cells{0};
-  util::Latch* latch;
-
-  void Drain() {
-    DpArena& scratch = LocalArena();
-    scratch.PrepareScratch(shared->n);
-    KernelStats stats;
-    for (int i = cursor.fetch_add(1, std::memory_order_relaxed); i < count;
-         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      ComputeVertexRow(*shared, vertices[i], scratch, stats);
-    }
-    kernel_cells.fetch_add(stats.kernel_cells, std::memory_order_relaxed);
-    pruned_cells.fetch_add(stats.pruned_cells, std::memory_order_relaxed);
-  }
-};
-
 }  // namespace
 
 util::Result<Placement> HomogeneousSearchAllocator::Allocate(
@@ -424,71 +386,38 @@ util::Result<Placement> HomogeneousSearchAllocator::Allocate(
   topology::VertexId best_vertex = topology::kNoVertex;
   double best_value = kInfeasible;
   KernelStats stats;
-  int64_t parallel_tasks = 0;
 
   for (int level = 0; level <= topo.height(); ++level) {
-    const auto& vertices = topo.vertices_at_level(level);
-    const bool parallel =
-        options_.pool != nullptr &&
-        static_cast<int>(vertices.size()) >= options_.min_parallel_vertices;
-    if (parallel) {
-      // Fan the per-vertex DP across the pool.  Row values are pure
-      // functions of the ledger and the children's rows, so computation
-      // order does not matter; the best-subtree reduction below stays in
-      // serial level order, keeping placements bit-identical to serial.
-      const int fanout = options_.pool->num_threads();
-      util::Latch latch(fanout);
-      LevelJob job{.shared = &shared,
-                   .vertices = vertices.data(),
-                   .count = static_cast<int>(vertices.size()),
-                   .latch = &latch};
-      for (int t = 0; t < fanout; ++t) {
-        // The lambda captures one pointer, so std::function's small-buffer
-        // path applies and submission stays heap-free.
-        options_.pool->Submit([&job] {
-          job.Drain();
-          job.latch->CountDown();
-        });
-      }
-      job.Drain();  // the caller participates until the cursor drains
-      latch.Wait();
-      stats.kernel_cells += job.kernel_cells.load(std::memory_order_relaxed);
-      stats.pruned_cells += job.pruned_cells.load(std::memory_order_relaxed);
-      parallel_tasks += fanout;
-    }
-    for (topology::VertexId v : vertices) {
-      if (!parallel) {
-        // Early level termination: once this level holds a best subtree
-        // (and the search will stop at this level), a vertex can only win
-        // by strictly beating best_value.  Every link's occupancy is
-        // monotone in the added moments, so max over the children's
-        // base-occupancy cells (their x = 0 entries) lower-bounds the
-        // vertex's eventual vopt[n]; if the bound can't beat best_value
-        // the whole subtree fold is skipped.  Skipped rows are never read:
-        // the level break below runs before any parent could fold them.
-        if (options_.lowest_subtree_first &&
-            best_vertex != topology::kNoVertex) {
-          if (!options_.optimize_occupancy) {
-            stats.pruned_cells += n + 1;
-            continue;  // first feasible vertex already found
+    for (topology::VertexId v : topo.vertices_at_level(level)) {
+      // Early level termination: once this level holds a best subtree (and
+      // the search will stop at this level), a vertex can only win by
+      // strictly beating best_value.  Every link's occupancy is monotone in
+      // the added moments, so max over the children's base-occupancy cells
+      // (their x = 0 entries) lower-bounds the vertex's eventual vopt[n];
+      // if the bound can't beat best_value the whole subtree fold is
+      // skipped.  Skipped rows are never read: the level break below runs
+      // before any parent could fold them.
+      if (options_.lowest_subtree_first && best_vertex != topology::kNoVertex) {
+        if (!options_.optimize_occupancy) {
+          stats.pruned_cells += n + 1;
+          continue;  // first feasible vertex already found
+        }
+        if (shared.monotone) {
+          double bound = 0;
+          if (topo.is_machine(v)) {
+            if (n > slots.free_slots(v)) bound = kInfeasible;
+          } else {
+            for (topology::VertexId child : topo.children(v)) {
+              bound = std::max(bound, shared.opt_row(child)[0]);
+            }
           }
-          if (shared.monotone) {
-            double bound = 0;
-            if (topo.is_machine(v)) {
-              if (n > slots.free_slots(v)) bound = kInfeasible;
-            } else {
-              for (topology::VertexId child : topo.children(v)) {
-                bound = std::max(bound, shared.opt_row(child)[0]);
-              }
-            }
-            if (!(bound < best_value)) {
-              stats.pruned_cells += n + 1;
-              continue;
-            }
+          if (!(bound < best_value)) {
+            stats.pruned_cells += n + 1;
+            continue;
           }
         }
-        ComputeVertexRow(shared, v, arena, stats);
       }
+      ComputeVertexRow(shared, v, arena, stats);
 
       // Can this subtree host the whole request?
       if (arena.opt_len[v] > n) {
@@ -511,9 +440,6 @@ util::Result<Placement> HomogeneousSearchAllocator::Allocate(
 
   SVC_METRIC_ADD("alloc/kernel_cells", stats.kernel_cells);
   SVC_METRIC_ADD("alloc/pruned_cells", stats.pruned_cells);
-  if (parallel_tasks > 0) {
-    SVC_METRIC_ADD("alloc/level_parallel_tasks", parallel_tasks);
-  }
 
   if (best_vertex == topology::kNoVertex) {
     return {util::ErrorCode::kInfeasible,

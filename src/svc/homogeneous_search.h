@@ -29,10 +29,6 @@
 
 #include "svc/allocator.h"
 
-namespace svc::util {
-class ThreadPool;
-}  // namespace svc::util
-
 namespace svc::core {
 
 struct HomogeneousSearchOptions {
@@ -42,18 +38,6 @@ struct HomogeneousSearchOptions {
   // the search continues to the root and returns the global min-max
   // placement regardless of level — the ablation DESIGN.md calls out.
   bool lowest_subtree_first = true;
-  // Optional level-parallel subtree search: vertices within a topology
-  // level are independent given their children's DP rows, so their
-  // per-vertex work fans across this pool (per-thread scratch arenas; the
-  // best-subtree reduction stays serial in level order, so placements are
-  // bit-identical to the serial path).  The caller keeps ownership and the
-  // pool must outlive the allocator's Allocate() calls.  Allocate() must
-  // NOT itself run on this pool: it joins the level internally, and a
-  // fully-busy pool would deadlock.  nullptr = serial (the default).
-  util::ThreadPool* pool = nullptr;
-  // Minimum vertices in a level before the pool is used; smaller levels
-  // run serially (fan-out overhead would dominate).
-  int min_parallel_vertices = 8;
 };
 
 class HomogeneousSearchAllocator : public Allocator {

@@ -24,46 +24,14 @@ int ThreadPool::HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int num_threads)
-    : ThreadPool(ThreadPoolOptions{num_threads, PlacementPolicy::kNone,
-                                   nullptr,
-                                   {}}) {}
-
-ThreadPool::ThreadPool(const ThreadPoolOptions& options) {
+ThreadPool::ThreadPool(int num_threads) {
   // HardwareThreads() already clamps hardware_concurrency() == 0 to 1, so
   // ThreadPool(0) can never construct an empty pool — Submit would
   // otherwise divide by workers_.size() == 0 and Wait would hang.
-  int num_threads = options.num_threads;
   if (num_threads <= 0) num_threads = HardwareThreads();
-
-  CpuTopology detected;
-  const CpuTopology* topo = options.topology;
-  if (topo == nullptr && options.placement != PlacementPolicy::kNone) {
-    detected = CpuTopology::Detect();
-    topo = &detected;
-  }
-  plan_ = topo != nullptr
-              ? PlanWorkerCpus(*topo, options.placement, num_threads,
-                               options.reserved)
-              : std::vector<CpuSlot>(num_threads);
-
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
     workers_.push_back(std::make_unique<Worker>());
-    workers_[i]->node = plan_[i].node;
-  }
-  // Same-node victims first, then the rest; both groups scan from self+1
-  // so victims spread instead of all hitting worker 0.
-  for (int i = 0; i < num_threads; ++i) {
-    Worker& w = *workers_[i];
-    w.victims.reserve(num_threads - 1);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int k = 1; k < num_threads; ++k) {
-        const int v = (i + k) % num_threads;
-        const bool same_node = workers_[v]->node == w.node;
-        if (same_node == (pass == 0)) w.victims.push_back(v);
-      }
-    }
   }
   threads_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
@@ -113,18 +81,16 @@ bool ThreadPool::TryTake(int self, std::function<void()>& out) {
       return true;
     }
   }
-  // Steal oldest-first from the other workers in this worker's victim
-  // order: same-node victims first, so a steal usually moves work across a
-  // shared cache instead of the NUMA interconnect.
-  Worker& own = *workers_[self];
-  for (int v : own.victims) {
-    Worker& victim = *workers_[v];
+  // Steal oldest-first from the other workers, scanning from self + 1 so
+  // victims spread instead of all hitting worker 0.
+  const int n = num_threads();
+  for (int k = 1; k < n; ++k) {
+    Worker& victim = *workers_[(self + k) % n];
     std::lock_guard<std::mutex> lock(victim.mu);
     if (!victim.tasks.empty()) {
       out = std::move(victim.tasks.front());
       victim.tasks.pop_front();
       SVC_METRIC_INC("threadpool/steals");
-      if (victim.node != own.node) SVC_METRIC_INC("pool/cross_node_steals");
       return true;
     }
   }
@@ -132,8 +98,6 @@ bool ThreadPool::TryTake(int self, std::function<void()>& out) {
 }
 
 void ThreadPool::WorkerLoop(int self) {
-  // A failed pin (cgroup-restricted cpu, non-Linux) just runs unpinned.
-  if (plan_[self].cpu >= 0) PinCurrentThreadToCpu(plan_[self].cpu);
   std::function<void()> task;
   while (true) {
     if (TryTake(self, task)) {

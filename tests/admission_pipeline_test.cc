@@ -1,6 +1,6 @@
-// Concurrent admission pipeline: serial equivalence of the deterministic
-// discipline, optimistic validity, FIFO abort semantics, quiesce rules,
-// epoch semantics, and the bounded queue / snapshot plumbing underneath.
+// Concurrent admission pipeline: serial equivalence of its decisions, FIFO
+// abort semantics, quiesce rules, epoch semantics, and the bounded queue /
+// snapshot plumbing underneath.
 //
 // Every fixture name contains "Pipeline" so the TSan CI job can select the
 // whole file with a single -R regex.
@@ -117,10 +117,8 @@ TEST(PipelineDeterministic, StatsAccountForEveryRequest) {
             static_cast<int64_t>(requests.size()));
   EXPECT_GE(stats.proposed, static_cast<int64_t>(requests.size()));
   EXPECT_EQ(stats.committed, static_cast<int64_t>(manager.live_count()));
-  // Deterministic discipline: every conflict is resolved by a serial
-  // fallback (or absorbed outright for monotone rejections — those are not
-  // conflicts at all).
-  EXPECT_EQ(stats.retries, 0);
+  // Every conflict is resolved by a serial fallback (or absorbed outright
+  // for monotone rejections — those are not conflicts at all).
   EXPECT_EQ(stats.fallbacks, stats.conflicts);
 }
 
@@ -139,58 +137,6 @@ TEST(PipelineDeterministic, DecisionObserverRunsInRequestOrder) {
                       });
   ASSERT_EQ(order.size(), requests.size());
   for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-// --- Optimistic discipline -------------------------------------------------
-
-TEST(PipelineOptimistic, EveryCommitValidEveryRequestDecided) {
-  const topology::Topology topo = TestTopo();
-  const HomogeneousDpAllocator alloc;
-  const std::vector<Request> requests = ChurnRequests(40, 53);
-  NetworkManager manager(topo, 0.05);
-  PipelineConfig config;
-  config.workers = 4;
-  config.deterministic = false;
-  AdmissionPipeline pipeline(manager, config);
-  const auto decisions = pipeline.AdmitBatch(requests, alloc);
-  ASSERT_EQ(decisions.size(), requests.size());
-  int64_t admitted = 0;
-  for (size_t i = 0; i < decisions.size(); ++i) {
-    if (decisions[i].ok()) {
-      ++admitted;
-      ASSERT_NE(manager.placement_of(requests[i].id()), nullptr);
-    } else {
-      EXPECT_EQ(manager.placement_of(requests[i].id()), nullptr);
-    }
-  }
-  EXPECT_TRUE(manager.StateValid());
-  EXPECT_EQ(static_cast<int64_t>(manager.live_count()), admitted);
-  const PipelineStats& stats = pipeline.stats();
-  EXPECT_EQ(stats.committed, admitted);
-  EXPECT_EQ(stats.committed + stats.rejected,
-            static_cast<int64_t>(requests.size()));
-}
-
-TEST(PipelineOptimistic, GreedyAllocatorConflictsRespeculate) {
-  // first-fit is not monotone, so stale rejections re-speculate instead of
-  // being absorbed; the pipeline must still decide every request and keep
-  // the books valid.
-  const topology::Topology topo = TestTopo();
-  const FirstFitAllocator alloc;
-  const std::vector<Request> requests = ChurnRequests(40, 59);
-  NetworkManager manager(topo, 0.05);
-  PipelineConfig config;
-  config.workers = 4;
-  config.deterministic = false;
-  config.max_retries = 2;
-  AdmissionPipeline pipeline(manager, config);
-  const auto decisions = pipeline.AdmitBatch(requests, alloc);
-  ASSERT_EQ(decisions.size(), requests.size());
-  EXPECT_TRUE(manager.StateValid());
-  const PipelineStats& stats = pipeline.stats();
-  EXPECT_EQ(stats.committed + stats.rejected,
-            static_cast<int64_t>(requests.size()));
-  EXPECT_EQ(stats.committed, static_cast<int64_t>(manager.live_count()));
 }
 
 // --- FIFO abort (stop_on_failure) ------------------------------------------

@@ -359,56 +359,6 @@ TEST(ShardedPipelineDeterministic, GreedyAllocatorStillSerialIdentical) {
   EXPECT_EQ(manager.MaxOccupancy(), serial.MaxOccupancy());
 }
 
-TEST(ShardedPipelineDeterministic, PlacementPoliciesDoNotChangeDecisions) {
-  // Pinning on vs off (and every policy in between, including kShardNode's
-  // first-touch ledger re-homing) is pure mechanism: decisions, live books,
-  // and aggregates must be bit-identical to the unpinned serial run.  On a
-  // single-cpu host the plans degrade to all-unpinned, which exercises the
-  // fallback path; on a multi-core host the same assertions cover real
-  // pinned workers.
-  const topology::Topology topo = ShardTopo();
-  const HomogeneousDpAllocator alloc;
-  const std::vector<Request> requests = ShardChurn(48, 61);
-
-  NetworkManager serial(topo, 0.05);
-  std::vector<util::Result<Placement>> expected;
-  for (const Request& r : requests) expected.push_back(serial.Admit(r, alloc));
-
-  for (util::PlacementPolicy policy :
-       {util::PlacementPolicy::kNone, util::PlacementPolicy::kCompact,
-        util::PlacementPolicy::kScatter, util::PlacementPolicy::kShardNode}) {
-    NetworkManager manager(topo, 0.05);
-    PipelineConfig config;
-    config.workers = 4;
-    config.shards = 4;
-    config.placement = policy;
-    AdmissionPipeline pipeline(manager, config);
-    SCOPED_TRACE(util::PlacementPolicyName(policy));
-    // The map covers every worker; kNone resolves to no topology at all.
-    EXPECT_EQ(pipeline.placement(), policy);
-    if (policy == util::PlacementPolicy::kNone) {
-      EXPECT_EQ(pipeline.topology(), nullptr);
-    } else {
-      ASSERT_NE(pipeline.topology(), nullptr);
-      EXPECT_GE(pipeline.topology()->num_cpus(), 1);
-      EXPECT_FALSE(pipeline.placement_map().empty());
-    }
-    const auto decisions = pipeline.AdmitBatch(requests, alloc);
-    ASSERT_EQ(decisions.size(), expected.size());
-    for (size_t i = 0; i < decisions.size(); ++i) {
-      ASSERT_EQ(decisions[i].ok(), expected[i].ok()) << "request " << i;
-      if (decisions[i].ok()) {
-        EXPECT_EQ(decisions[i]->vm_machine, expected[i]->vm_machine)
-            << "request " << i;
-      }
-    }
-    EXPECT_EQ(manager.live_count(), serial.live_count());
-    EXPECT_EQ(manager.slots().total_free(), serial.slots().total_free());
-    EXPECT_EQ(manager.MaxOccupancy(), serial.MaxOccupancy());
-    EXPECT_TRUE(manager.StateValid());
-  }
-}
-
 TEST(ShardedPipelineStats, AccountsDispatchesConflictsAndHistogram) {
   const topology::Topology topo = ShardTopo();
   const HomogeneousDpAllocator alloc;
@@ -435,7 +385,6 @@ TEST(ShardedPipelineStats, AccountsDispatchesConflictsAndHistogram) {
   EXPECT_GE(stats.shard_commits + stats.cross_shard_commits + stats.fallbacks,
             stats.committed);
   EXPECT_GT(stats.shard_commits, 0);
-  EXPECT_EQ(stats.retries, 0);
   // The histogram covers every admit proposal the sequencer classified.
   const std::vector<int64_t>& hist = pipeline.touched_shard_histogram();
   ASSERT_EQ(hist.size(), 5u);

@@ -2,8 +2,8 @@
 //
 // The production DP evaluates occupancy through the fused batch kernel,
 // prunes provably-infeasible cells via frontier binary search and per-row
-// feasible windows, terminates levels early, and optionally fans vertices
-// across a thread pool.  Every one of those transformations is supposed to
+// feasible windows, and terminates levels early.  Every one of those
+// transformations is supposed to
 // be invisible: placements must stay bit-identical to the plain reference
 // recurrence.  This file keeps a straightforward port of that reference DP
 // (one validity + occupancy call pair per cell, no pruning) and
@@ -25,7 +25,6 @@
 #include "svc/manager.h"
 #include "svc/scratch_arena.h"
 #include "topology/builders.h"
-#include "util/thread_pool.h"
 
 namespace svc::core {
 namespace {
@@ -207,16 +206,10 @@ topology::Topology BuildVariant(int variant) {
   }
 }
 
-void RunEquivalence(double epsilon, bool optimize, bool lowest,
-                    bool parallel) {
-  util::ThreadPool pool(2);
+void RunEquivalence(double epsilon, bool optimize, bool lowest) {
   HomogeneousSearchOptions options;
   options.optimize_occupancy = optimize;
   options.lowest_subtree_first = lowest;
-  if (parallel) {
-    options.pool = &pool;
-    options.min_parallel_vertices = 1;  // force the parallel path everywhere
-  }
   const HomogeneousSearchAllocator fast(options, "fastpath-under-test");
 
   for (int variant = 0; variant < 6; ++variant) {
@@ -236,8 +229,7 @@ void RunEquivalence(double epsilon, bool optimize, bool lowest,
           reference, fast_result,
           "variant " + std::to_string(variant) + " probe " +
               std::to_string(probe) + " eps " + std::to_string(epsilon) +
-              (optimize ? " opt" : " tivc") + (lowest ? " lowest" : " global") +
-              (parallel ? " parallel" : " serial"));
+              (optimize ? " opt" : " tivc") + (lowest ? " lowest" : " global"));
       if (fast_result.ok()) {
         RecycleVmBuffer(std::move(fast_result->vm_machine));
       }
@@ -246,35 +238,26 @@ void RunEquivalence(double epsilon, bool optimize, bool lowest,
 }
 
 TEST(AllocFastPath, SerialOptimizeMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/true, /*parallel=*/false);
+  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/true);
 }
 
 TEST(AllocFastPath, SerialFeasibilityModeMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/false, /*lowest=*/true, /*parallel=*/false);
+  RunEquivalence(0.05, /*optimize=*/false, /*lowest=*/true);
 }
 
 TEST(AllocFastPath, GlobalSearchMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/false, /*parallel=*/false);
-}
-
-TEST(AllocFastPath, ParallelMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/true, /*parallel=*/true);
-}
-
-TEST(AllocFastPath, ParallelFeasibilityModeMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/false, /*lowest=*/true, /*parallel=*/true);
+  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/false);
 }
 
 // epsilon > 0.5 flips the guarantee quantile negative: occupancy is no
 // longer monotone in the added variance, so the allocator must disable the
 // frontier/early-termination pruning — and still match the reference.
 TEST(AllocFastPath, NegativeQuantileMatchesReference) {
-  RunEquivalence(0.7, /*optimize=*/true, /*lowest=*/true, /*parallel=*/false);
-  RunEquivalence(0.7, /*optimize=*/true, /*lowest=*/true, /*parallel=*/true);
+  RunEquivalence(0.7, /*optimize=*/true, /*lowest=*/true);
 }
 
 TEST(AllocFastPath, TightEpsilonMatchesReference) {
-  RunEquivalence(0.001, /*optimize=*/true, /*lowest=*/true, /*parallel=*/false);
+  RunEquivalence(0.001, /*optimize=*/true, /*lowest=*/true);
 }
 
 // The batch kernel must agree bit for bit with the scalar OccupancyWith on

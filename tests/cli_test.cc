@@ -2,13 +2,17 @@
 // handling, and script execution.
 #include "cli/interpreter.h"
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cli/daemon.h"
 #include "obs/decision_log.h"
 #include "topology/builders.h"
+#include "util/thread_pool.h"
 
 namespace svc::cli {
 namespace {
@@ -130,6 +134,12 @@ TEST_F(InterpreterTest, MalformedAdmitArguments) {
   Exec("admit 5 homogeneous 4 abc 10", &ok);
   EXPECT_FALSE(ok);
   Exec("admit 5 heterogeneous 100-10", &ok);
+  EXPECT_FALSE(ok);
+  // 2^32 + 2 VMs does not fit the request's int count; it must not be
+  // truncated into a 2-VM tenant.
+  Exec("admit 5 homogeneous 4294967298 100 10", &ok);
+  EXPECT_FALSE(ok);
+  Exec("admit 5 deterministic 4294967298 100", &ok);
   EXPECT_FALSE(ok);
   EXPECT_EQ(interpreter_.manager().live_count(), 0u);
 }
@@ -291,6 +301,74 @@ TEST_F(InterpreterTest, DrainAndUncordonBadUsage) {
   EXPECT_FALSE(ok);
   Exec("uncordon 0", &ok);  // the root is not a machine
   EXPECT_FALSE(ok);
+}
+
+// --- batch: the admission pipeline behind svcd ---
+
+TEST_F(InterpreterTest, BatchRejectsBoundsBeforeStartingAnything) {
+  // One past each bound fails with the usage error.  The bounds are
+  // checked before any request is built or any worker thread starts.
+  const int hw = util::ThreadPool::HardwareThreads();
+  const int slots = topo_.total_slots();
+  bool ok = true;
+  std::string out = Exec("batch " + std::to_string(hw + 1) +
+                             " 1 100 homogeneous 2 100 10",
+                         &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(out.find("error: batch"), std::string::npos) << out;
+  ok = true;
+  out = Exec("batch 1 " + std::to_string(slots + 1) +
+                 " 100 homogeneous 2 100 10",
+             &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(out.find("error: batch"), std::string::npos) << out;
+  // The last id of the range must fit in an int64: ids 2^63 - 1 and 2^63
+  // would overflow.
+  ok = true;
+  out = Exec("batch 1 2 9223372036854775807 homogeneous 2 100 10", &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(out.find("error: batch"), std::string::npos) << out;
+  ok = true;
+  out = Exec("batch 1 1 100 deterministic 4294967298 100", &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(out.find("error: batch"), std::string::npos) << out;
+  EXPECT_EQ(interpreter_.manager().live_count(), 0u);
+}
+
+TEST(InterpreterBatch, WorkerCountDoesNotChangeDecisions) {
+  // `batch` drives the pipeline, whose decisions equal the serial ones for
+  // any worker count: same admitted count, same placement for every id.
+  const topology::Topology topo = topology::BuildTwoTier(2, 3, 4, 1000, 2.0);
+  const int parallel = std::min(4, util::ThreadPool::HardwareThreads());
+  const std::vector<std::string> script = {
+      "batch W 5 100 homogeneous 3 150 60",
+      "batch W 6 200 deterministic 2 120",
+      "batch W 4 300 homogeneous 4 200 120",
+  };
+  auto run = [&](int workers) {
+    Interpreter interpreter(topo, 0.05);
+    std::string out;
+    for (std::string line : script) {
+      line.replace(line.find('W'), 1, std::to_string(workers));
+      std::ostringstream stream;
+      EXPECT_TRUE(interpreter.Execute(line, stream)) << stream.str();
+      const std::string text = stream.str();
+      out += text.substr(0, text.find(" (proposed")) + "\n";
+    }
+    for (int first : {100, 200, 300}) {
+      for (int id = first; id < first + 6; ++id) {
+        std::ostringstream stream;
+        interpreter.Execute("show placement " + std::to_string(id), stream);
+        out += stream.str();
+      }
+    }
+    return out;
+  };
+  const std::string serial = run(1);
+  // The second batch outruns the free slots, so both verdicts occur.
+  EXPECT_NE(serial.find("batch: 4 admitted, 2 rejected"), std::string::npos)
+      << serial;
+  EXPECT_EQ(run(parallel), serial);
 }
 
 // --- The introspection plane: health / tail / explain ---

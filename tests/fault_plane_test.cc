@@ -17,7 +17,6 @@
 #include "svc/manager.h"
 #include "svc/slot_map.h"
 #include "topology/builders.h"
-#include "util/thread_pool.h"
 #include "workload/workload.h"
 
 namespace svc {
@@ -390,25 +389,6 @@ TEST(FaultEngine, FixedSeedReplaysBitIdentically) {
     EXPECT_GE(a.steady_outage().busy_link_seconds, 0);
     EXPECT_GE(a.steady_outage().outage_link_seconds, 0);
   }
-}
-
-TEST(FaultEngine, ThreadPoolAllocatorReplaysIdenticallyToSerial) {
-  const topology::Topology topo = topology::BuildTwoTier(4, 4, 4, 2000, 2.0);
-  core::HomogeneousDpAllocator serial;
-  util::ThreadPool pool(4);
-  core::HomogeneousSearchAllocator pooled(
-      {.optimize_occupancy = true, .pool = &pool, .min_parallel_vertices = 1},
-      "svc-dp");
-  sim::EventLog events_serial, events_pooled;
-  const sim::OnlineResult a =
-      RunChurn(topo, serial, RecoveryPolicy::kReallocate, &events_serial);
-  const sim::OnlineResult b =
-      RunChurn(topo, pooled, RecoveryPolicy::kReallocate, &events_pooled);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.tenants_evicted, b.tenants_evicted);
-  EXPECT_EQ(a.tenants_recovered, b.tenants_recovered);
-  EXPECT_EQ(events_serial.ToCsv(), events_pooled.ToCsv());
 }
 
 TEST(FaultEngine, RunBatchAppliesScriptedFaults) {

@@ -107,17 +107,23 @@ TEST(ScenarioSerialization, UnknownTopLevelKeyIsRejected) {
 }
 
 TEST(ScenarioSerialization, UnknownNestedKeyIsRejected) {
-  Scenario scenario;
-  scenario.name = "unit";
-  std::string text = SerializeScenario(scenario);
-  const std::string anchor = "\"admission\":{";
-  const size_t pos = text.find(anchor);
-  ASSERT_NE(pos, std::string::npos);
-  text.insert(pos + anchor.size(), "\"mystery\":true,");
-  util::Result<Scenario> parsed = ParseScenario(text);
-  ASSERT_FALSE(parsed);
-  EXPECT_NE(parsed.status().ToText().find("mystery"), std::string::npos)
-      << parsed.status().ToText();
+  // `placement` was an admission key once (worker pinning); a file that
+  // still carries it fails like any other unknown key.
+  for (const std::string key : {"mystery", "placement"}) {
+    Scenario scenario;
+    scenario.name = "unit";
+    std::string text = SerializeScenario(scenario);
+    const std::string anchor = "\"admission\":{";
+    const size_t pos = text.find(anchor);
+    ASSERT_NE(pos, std::string::npos);
+    text.insert(pos + anchor.size(), "\"" + key + "\":\"compact\",");
+    util::Result<Scenario> parsed = ParseScenario(text);
+    ASSERT_FALSE(parsed) << key;
+    EXPECT_NE(parsed.status().ToText().find("scenario.admission: unknown key '" +
+                                            key + "'"),
+              std::string::npos)
+        << parsed.status().ToText();
+  }
 }
 
 TEST(ScenarioSerialization, TypeMismatchIsRejected) {

@@ -63,24 +63,6 @@ TEST(ThreadPool, ZeroThreadsClampsToAtLeastOne) {
   EXPECT_EQ(count.load(), 32);
 }
 
-TEST(ThreadPool, PlacementOptionsRunAndExposeThePlan) {
-  // A pinned pool must run tasks exactly like an unpinned one; on hosts
-  // where pinning is unavailable (single cpu) the plan degrades to
-  // all-unpinned slots but keeps one entry per worker.
-  util::ThreadPoolOptions options;
-  options.num_threads = 3;
-  options.placement = util::PlacementPolicy::kCompact;
-  util::ThreadPool pool(options);
-  EXPECT_EQ(pool.num_threads(), 3);
-  ASSERT_EQ(pool.worker_cpus().size(), 3u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPool, SubmitFromWorkerIsAllowed) {
   util::ThreadPool pool(2);
   std::atomic<int> count{0};

@@ -141,14 +141,10 @@ def main():
     before_benches = {b["name"]: b for b in before.get("benchmarks", [])}
     after_benches = {b["name"]: b for b in after.get("benchmarks", [])}
 
-    # Placement-sensitive numbers (admission_sharded under --placement) are
-    # only comparable between machines with the same package/node/core
-    # shape.  A shape mismatch is a warning, not a failure: diffing across
-    # hosts is sometimes exactly what the user wants to do.
     # Snapshots are only apples-to-apples when they measured the same
     # scenario configuration (fabric, workload, seed, epsilon).  A config
     # hash mismatch is a warning, not a failure, for the same reason as
-    # the host-topology mismatch below.
+    # the host-shape mismatch below.
     b_scn = before.get("scenario")
     a_scn = after.get("scenario")
     if (
@@ -166,6 +162,10 @@ def main():
             file=sys.stderr,
         )
 
+    # Thread-scaling numbers (the sweep and admission speedups) are only
+    # comparable between hosts of the same shape (cpus, NUMA nodes).  A
+    # shape mismatch is a warning, not a failure: diffing across hosts is
+    # sometimes exactly what the user wants to do.
     b_topo = before.get("topology")
     a_topo = after.get("topology")
     if b_topo and a_topo and b_topo != a_topo:
@@ -173,7 +173,7 @@ def main():
             "WARNING: topology differs between snapshots "
             f"(before: {b_topo.get('summary', '?')}, "
             f"after: {a_topo.get('summary', '?')}); "
-            "placement-sensitive deltas may reflect the hardware, "
+            "thread-scaling deltas may reflect the hardware, "
             "not the change",
             file=sys.stderr,
         )
